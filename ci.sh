@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # CI driver: tier-1 verify (full build + test suite), a lint stage (pmc-lint
-# determinism/protocol rules + clang-tidy when available), an ASan+UBSan
-# build of the runtime- and distributed-algorithm-facing tests, and a TSan
-# build that runs the threaded execution backend under the race detector.
+# determinism/protocol rules + clang-tidy when available), a stress stage
+# that repeats the threaded tests until one fails, an ASan+UBSan build of
+# the runtime- and distributed-algorithm-facing tests, and a TSan build that
+# runs the threaded execution backend under the race detector.
 #
 #   ./ci.sh          # all stages
 #   ./ci.sh tier1    # tier-1 only
 #   ./ci.sh lint     # lint stage only
+#   ./ci.sh stress   # repeat-until-fail stage only
 #   ./ci.sh asan     # ASan+UBSan stage only
 #   ./ci.sh tsan     # ThreadSanitizer stage only
 set -euo pipefail
@@ -18,7 +20,8 @@ STAGE="${1:-all}"
 tier1() {
   echo "==== tier-1: build + full test suite ===="
   # PMC_HARDENED_WERROR promotes -Wconversion/-Wdouble-promotion/
-  # -Wimplicit-fallthrough to errors in CI; the tree must stay clean.
+  # -Wimplicit-fallthrough/-Wunused-result to errors in CI; the tree must
+  # stay clean.
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DPMC_HARDENED_WERROR=ON
   cmake --build build -j "$JOBS"
   # --timeout is a backstop for tests predating the per-test TIMEOUT
@@ -41,7 +44,7 @@ lint() {
   echo "==== lint: pmc-lint determinism rules + clang-tidy ===="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DPMC_HARDENED_WERROR=ON
   cmake --build build -j "$JOBS" --target pmc-lint
-  # pmc-lint exits nonzero on any unsuppressed D1-D10 diagnostic (including
+  # pmc-lint exits nonzero on any unsuppressed diagnostic (including
   # D10 stale suppressions); the JSON report and the SARIF log land next to
   # the other CI artifacts.
   ./build/tools/pmc-lint/pmc-lint \
@@ -62,6 +65,26 @@ lint() {
   else
     echo "lint: clang-tidy not on PATH; skipped (pmc-lint stage still ran)"
   fi
+}
+
+stress() {
+  echo "==== stress: threaded tests repeated until one fails ===="
+  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DPMC_HARDENED_WERROR=ON
+  # Intermittent hangs and schedule-dependent output only show up across
+  # many runs: the pool itself, the byte-identical-trace pins, the fault-
+  # injection scenarios and the service replay, all at 4 threads, 50 times
+  # each (a hang fails on the per-test timeout).
+  local tests=(
+    test_exec
+    test_determinism_regression
+    test_chaos
+    test_service
+  )
+  cmake --build build -j "$JOBS" --target "${tests[@]}"
+  local regex
+  regex="^($(IFS='|'; echo "${tests[*]}"))$"
+  PMC_THREADS=4 ctest --test-dir build --output-on-failure -j "$JOBS" \
+    -R "$regex" --repeat until-fail:50 --timeout 300
 }
 
 asan() {
@@ -123,9 +146,10 @@ tsan() {
 case "$STAGE" in
   tier1) tier1 ;;
   lint) lint ;;
+  stress) stress ;;
   asan) asan ;;
   tsan) tsan ;;
-  all) tier1; lint; asan; tsan ;;
-  *) echo "usage: $0 [tier1|lint|asan|tsan|all]" >&2; exit 2 ;;
+  all) tier1; lint; stress; asan; tsan ;;
+  *) echo "usage: $0 [tier1|lint|stress|asan|tsan|all]" >&2; exit 2 ;;
 esac
 echo "ci.sh: all requested stages passed"

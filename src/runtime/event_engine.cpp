@@ -19,117 +19,28 @@ constexpr std::size_t kAckPayloadBytes = 12;
 
 }  // namespace
 
-Rank EventContext::num_ranks() const noexcept { return engine_->num_ranks(); }
-
-void EventContext::charge(double work_units) noexcept {
-  if (deferred()) {
-    lane_->charge(work_units);
-  } else {
-    engine_->fabric_.charge(rank_, work_units);
-  }
+EventContext::DeferredOp& EventContext::record(DeferredOp::Kind kind) {
+  DeferredOp& op = ops_.emplace_back();
+  op.kind = kind;
+  return op;
 }
 
 void EventContext::send(Rank dst, std::vector<std::byte> payload,
                         std::int64_t records) {
-  if (!deferred()) {
-    engine_->enqueue(rank_, dst, std::move(payload), records);
-    return;
-  }
   // With the reliable transport, a one-attempt budget makes the very first
-  // transmit the (fault-exempt) reliable tail; the lane must skip the stall
-  // wait exactly as the live begin_send() would for an exempt send.
+  // transmit the (fault-exempt) reliable tail, which skips the stall wait.
   const FaultConfig& F = engine_->fabric_.config().fault;
   const bool exempt_first =
       engine_->transport_ && F.max_attempts == 1 && F.reliable_tail;
-  DeferredOp op;
-  op.kind = DeferredOp::Kind::kSend;
+  DeferredOp& op = record(DeferredOp::Kind::kSend);
   op.peer = dst;
   op.payload = std::move(payload);
   op.records = records;
-  op.send_time = lane_->begin_send(exempt_first);
-  ops_.push_back(std::move(op));
-}
-
-double EventContext::now() const noexcept {
-  return deferred() ? lane_->now() : engine_->fabric_.now(rank_);
+  op.ticket.emplace(lane_->begin_send(exempt_first));
 }
 
 void EventContext::set_round(int round) {
-  if (deferred()) {
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::kRound;
-    op.round = round;
-    ops_.push_back(std::move(op));
-  } else {
-    engine_->fabric_.set_round(rank_, round);
-  }
-}
-
-void EventContext::set_phase(WorkPhase phase) noexcept {
-  if (deferred()) {
-    lane_->set_phase(phase);
-  } else {
-    engine_->fabric_.set_phase(rank_, phase);
-  }
-}
-
-void EventContext::advance_to(double t) {
-  if (deferred()) {
-    lane_->advance_to(t);
-  } else {
-    engine_->fabric_.advance_to(rank_, t);
-  }
-}
-
-double EventContext::begin_send(bool fault_exempt) {
-  return deferred() ? lane_->begin_send(fault_exempt)
-                    : engine_->fabric_.begin_send(rank_, fault_exempt);
-}
-
-void EventContext::note_backoff(double seconds) {
-  if (deferred()) {
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::kNoteBackoff;
-    op.seconds = seconds;
-    ops_.push_back(std::move(op));
-  } else {
-    engine_->fabric_.note_backoff(rank_, seconds);
-  }
-}
-
-void EventContext::note_retry(Rank peer, int attempt) {
-  if (deferred()) {
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::kNoteRetry;
-    op.peer = peer;
-    op.attempt = attempt;
-    op.note_time = lane_->now();
-    ops_.push_back(std::move(op));
-  } else {
-    engine_->fabric_.note_retry(rank_, peer, attempt);
-  }
-}
-
-void EventContext::note_dup_suppressed() {
-  if (deferred()) {
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::kNoteDupSuppressed;
-    op.note_time = lane_->now();
-    ops_.push_back(std::move(op));
-  } else {
-    engine_->fabric_.note_dup_suppressed(rank_);
-  }
-}
-
-void EventContext::note_corruption_detected() {
-  if (deferred()) {
-    DeferredOp op;
-    op.kind = DeferredOp::Kind::kNoteCorruptDetected;
-    op.note_time = lane_->now();
-    ops_.push_back(std::move(op));
-  } else {
-    engine_->fabric_.note_corruption_detected(rank_);
-  }
+  record(DeferredOp::Kind::kRound).round = round;
 }
 
 EventEngine::EventEngine(MachineModel model, FabricConfig config,
@@ -177,45 +88,13 @@ void EventEngine::push_event(Event ev) {
   ++events_posted_;
 }
 
-void EventEngine::enqueue(Rank src, Rank dst, std::vector<std::byte> payload,
-                          std::int64_t records) {
-  if (!transport_) {
-    const double send_time = fabric_.begin_send(src);
-    const auto receipt =
-        fabric_.post_send_at(src, dst, payload.size(), records, send_time);
-    Event ev;
-    ev.time = receipt.arrival;
-    ev.src = src;
-    ev.dst = dst;
-    ev.payload = std::move(payload);
-    push_event(std::move(ev));
-    return;
-  }
-  auto& sender = transport_state_[static_cast<std::size_t>(src)];
-  const std::uint64_t tseq = sender.next_tseq[dst]++;
-  Pending& entry = sender.unacked[dst][tseq];
-  entry.payload = std::move(payload);
-  entry.records = records;
-  entry.attempt = 1;
-  const FaultConfig& F = fabric_.config().fault;
-  const bool final_attempt = entry.attempt >= F.max_attempts;
-  const bool exempt = final_attempt && F.reliable_tail;
-  const double send_time = fabric_.begin_send(src, exempt);
-  transmit_priced(src, dst, tseq, entry.payload, entry.records, entry.attempt,
-                  send_time);
-  // Exempt tail: delivery is guaranteed, drop the retransmission state (a
-  // late ack for an earlier try is ignored harmlessly). Without the tail a
-  // delivered final try just stops retrying; the entry stays until its ack
-  // arrives, or inertly forever if that ack is lost.
-  if (exempt) sender.unacked[dst].erase(tseq);
-}
-
-void EventEngine::enqueue_at(Rank src, Rank dst,
-                             std::vector<std::byte> payload,
-                             std::int64_t records, double send_time) {
+void EventEngine::enqueue(Rank dst, std::vector<std::byte> payload,
+                          std::int64_t records,
+                          CommFabric::SendTicket ticket) {
+  const Rank src = ticket.src();
   if (!transport_) {
     const auto receipt =
-        fabric_.post_send_at(src, dst, payload.size(), records, send_time);
+        fabric_.post_send_at(std::move(ticket), dst, payload.size(), records);
     Event ev;
     ev.time = receipt.arrival;
     ev.src = src;
@@ -232,21 +111,26 @@ void EventEngine::enqueue_at(Rank src, Rank dst,
   entry.attempt = 1;
   const FaultConfig& F = fabric_.config().fault;
   const bool exempt = entry.attempt >= F.max_attempts && F.reliable_tail;
-  transmit_priced(src, dst, tseq, entry.payload, entry.records, entry.attempt,
-                  send_time);
+  transmit(dst, tseq, entry.payload, entry.records, entry.attempt,
+           std::move(ticket));
+  // Exempt tail: delivery is guaranteed, drop the retransmission state (a
+  // late ack for an earlier try is ignored harmlessly). Without the tail a
+  // delivered final try just stops retrying; the entry stays until its ack
+  // arrives, or inertly forever if that ack is lost.
   if (exempt) sender.unacked[dst].erase(tseq);
 }
 
-void EventEngine::transmit_priced(Rank src, Rank dst, std::uint64_t tseq,
-                                  const std::vector<std::byte>& payload,
-                                  std::int64_t records, int attempt,
-                                  double send_time) {
+void EventEngine::transmit(Rank dst, std::uint64_t tseq,
+                           const std::vector<std::byte>& payload,
+                           std::int64_t records, int attempt,
+                           CommFabric::SendTicket ticket) {
+  const Rank src = ticket.src();
+  const double send_time = ticket.time();
   const FaultConfig& F = fabric_.config().fault;
   const bool final_attempt = attempt >= F.max_attempts;
-  const bool exempt = final_attempt && F.reliable_tail;
   const auto receipt =
-      fabric_.post_send_at(src, dst, payload.size() + kTransportHeaderBytes,
-                           records, send_time, exempt);
+      fabric_.post_send_at(std::move(ticket), dst,
+                           payload.size() + kTransportHeaderBytes, records);
   if (receipt.dropped) {
     if (final_attempt) {
       // reliable_tail is off and the last try was lost: no further recovery
@@ -290,9 +174,8 @@ void EventEngine::transmit_priced(Rank src, Rank dst, std::uint64_t tseq,
   if (!final_attempt) {
     Event timer;
     timer.kind = EventKind::kTimer;
-    // The clock sits at the send time when the timer is armed (a deferred
-    // replay uses the recorded lane send time for the same reason: the live
-    // clock has already absorbed the whole lane).
+    // The timer is armed at the ticket's send time (the live clock has
+    // already absorbed the whole lane by the time the replay runs).
     timer.time =
         send_time + F.rto_seconds * std::pow(F.rto_backoff, attempt - 1);
     timer.src = dst;  // peer the pending message targets
@@ -302,12 +185,13 @@ void EventEngine::transmit_priced(Rank src, Rank dst, std::uint64_t tseq,
   }
 }
 
-void EventEngine::replay_ack(Rank from, Rank to, std::uint64_t tseq,
-                             double send_time) {
+void EventEngine::send_ack(Rank to, std::uint64_t tseq,
+                           CommFabric::SendTicket ticket) {
   // Acks ride the same lossy fabric (a lost ack is what makes duplicate
   // suppression necessary) but are never themselves retried.
+  const Rank from = ticket.src();
   const auto receipt =
-      fabric_.post_send_at(from, to, kAckPayloadBytes, 0, send_time);
+      fabric_.post_send_at(std::move(ticket), to, kAckPayloadBytes, 0);
   if (receipt.dropped) return;
   Event ev;
   ev.kind = EventKind::kAck;
@@ -328,16 +212,18 @@ void EventEngine::replay_ack(Rank from, Rank to, std::uint64_t tseq,
 }
 
 void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
+  using Kind = EventContext::DeferredOp::Kind;
+  CommFabric::Lane& lane = *ctx.lane_;
   switch (ev.kind) {
     case EventKind::kData: {
-      ctx.advance_to(ev.time);
+      lane.advance_to(ev.time);
       if (ev.corrupted) {
         // Honest detection: the delivered bytes themselves must fail frame
         // validation (empty payloads have nothing to flip and are rejected
         // outright). No ack — the sender's retry timer recovers.
         PMC_CHECK(ev.payload.empty() || !FrameReader(ev.payload).valid(),
                   "garbled frame passed checksum validation");
-        ctx.note_corruption_detected();
+        ctx.record(Kind::kNoteCorruptDetected).note_time = lane.now();
         return;
       }
       if (transport_) {
@@ -345,19 +231,12 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
         const bool fresh = receiver.delivered[ev.src].insert(ev.tseq).second;
         // Always (re-)ack: the sender may be retrying because an earlier
         // ack was lost.
-        const double ack_time = ctx.begin_send(false);
-        if (ctx.deferred()) {
-          EventContext::DeferredOp op;
-          op.kind = EventContext::DeferredOp::Kind::kAck;
-          op.peer = ev.src;
-          op.tseq = ev.tseq;
-          op.send_time = ack_time;
-          ctx.ops_.push_back(std::move(op));
-        } else {
-          replay_ack(ev.dst, ev.src, ev.tseq, ack_time);
-        }
+        EventContext::DeferredOp& ack = ctx.record(Kind::kAck);
+        ack.peer = ev.src;
+        ack.tseq = ev.tseq;
+        ack.ticket.emplace(lane.begin_send());
         if (!fresh) {
-          ctx.note_dup_suppressed();
+          ctx.record(Kind::kNoteDupSuppressed).note_time = lane.now();
           return;
         }
       }
@@ -366,11 +245,11 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
       return;
     }
     case EventKind::kAck: {
-      ctx.advance_to(ev.time);
+      lane.advance_to(ev.time);
       if (ev.corrupted) {
         // A garbled ack is rejected, not trusted: the pending entry stays
         // and the data message will be retransmitted (then re-acked).
-        ctx.note_corruption_detected();
+        ctx.record(Kind::kNoteCorruptDetected).note_time = lane.now();
         return;
       }
       auto& unacked = transport_state_[static_cast<std::size_t>(ev.dst)].unacked;
@@ -387,39 +266,42 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
       auto it = chan->second.find(ev.tseq);
       if (it == chan->second.end()) return;  // acked meanwhile: timer no-ops
       // Still unacknowledged: the rank sat out the timeout, then retries.
-      const double waited = ev.time - ctx.now();
-      if (waited > 0.0) ctx.note_backoff(waited);
-      ctx.advance_to(ev.time);
+      const double waited = ev.time - lane.now();
+      if (waited > 0.0) ctx.record(Kind::kNoteBackoff).seconds = waited;
+      lane.advance_to(ev.time);
       Pending& entry = it->second;
-      ctx.note_retry(peer, entry.attempt + 1);
       entry.attempt += 1;
+      EventContext::DeferredOp& retry = ctx.record(Kind::kNoteRetry);
+      retry.peer = peer;
+      retry.attempt = entry.attempt;
+      retry.note_time = lane.now();
       const FaultConfig& F = fabric_.config().fault;
       const bool final_attempt = entry.attempt >= F.max_attempts;
       const bool exempt = final_attempt && F.reliable_tail;
-      const double send_time = ctx.begin_send(exempt);
-      if (ctx.deferred()) {
-        // Snapshot the message: a later ack in the same window (processed by
-        // this same shard) may erase the entry before the merge replays the
-        // retransmission.
-        EventContext::DeferredOp op;
-        op.kind = EventContext::DeferredOp::Kind::kRetransmit;
-        op.peer = peer;
-        op.payload = entry.payload;
-        op.records = entry.records;
-        op.attempt = entry.attempt;
-        op.tseq = ev.tseq;
-        op.send_time = send_time;
-        ctx.ops_.push_back(std::move(op));
-      } else {
-        transmit_priced(sender, peer, ev.tseq, entry.payload, entry.records,
-                        entry.attempt, send_time);
-      }
+      // Snapshot the message: a later ack in the same window (processed by
+      // this same shard) may erase the entry before the replay retransmits.
+      EventContext::DeferredOp& resend = ctx.record(Kind::kRetransmit);
+      resend.peer = peer;
+      resend.payload = entry.payload;
+      resend.records = entry.records;
+      resend.attempt = entry.attempt;
+      resend.tseq = ev.tseq;
+      resend.ticket.emplace(lane.begin_send(exempt));
       // See enqueue(): the exempt tail's delivery is guaranteed, so the
       // retransmission state goes now.
       if (exempt) chan->second.erase(ev.tseq);
       return;
     }
   }
+}
+
+template <typename Body>
+void EventEngine::run_inline(Rank rank, Body&& body) {
+  CommFabric::Lane lane = fabric_.make_lane(rank);
+  EventContext ctx(*this, lane);
+  body(ctx);
+  fabric_.absorb_lane(lane);
+  replay_ops(rank, ctx.ops_);
 }
 
 void EventEngine::dispatch_window() {
@@ -464,11 +346,10 @@ void EventEngine::dispatch_window() {
   }
 
   if (shard_ranks.size() == 1) {
-    // One destination: nothing to run concurrently, and the direct path is
-    // definitionally the sequential schedule.
+    // One destination: nothing to run concurrently, so dispatch exactly as
+    // the sequential loop does.
     for (const Event& ev : window) {
-      EventContext ctx(*this, ev.dst);
-      dispatch(ev, ctx);
+      run_inline(ev.dst, [&](EventContext& ctx) { dispatch(ev, ctx); });
     }
     return;
   }
@@ -484,7 +365,7 @@ void EventEngine::dispatch_window() {
                   &frames] {
       lanes[s] = fabric_.make_lane(shard_ranks[s]);
       for (const std::uint32_t i : shard_events[s]) {
-        EventContext ctx(*this, shard_ranks[s], &lanes[s]);
+        EventContext ctx(*this, lanes[s]);
         dispatch(window[i], ctx);
         frames[i] = std::move(ctx.ops_);
       }
@@ -509,18 +390,18 @@ void EventEngine::replay_ops(Rank rank,
   for (EventContext::DeferredOp& op : ops) {
     switch (op.kind) {
       case Kind::kSend:
-        enqueue_at(rank, op.peer, std::move(op.payload), op.records,
-                   op.send_time);
+        enqueue(op.peer, std::move(op.payload), op.records,
+                std::move(*op.ticket));
         break;
       case Kind::kRound:
         fabric_.set_round(rank, op.round);
         break;
       case Kind::kAck:
-        replay_ack(rank, op.peer, op.tseq, op.send_time);
+        send_ack(op.peer, op.tseq, std::move(*op.ticket));
         break;
       case Kind::kRetransmit:
-        transmit_priced(rank, op.peer, op.tseq, op.payload, op.records,
-                        op.attempt, op.send_time);
+        transmit(op.peer, op.tseq, op.payload, op.records, op.attempt,
+                 std::move(*op.ticket));
         break;
       case Kind::kNoteBackoff:
         fabric_.note_backoff(rank, op.seconds);
@@ -540,34 +421,26 @@ void EventEngine::replay_ops(Rank rank,
 }
 
 void EventEngine::fan_out(const std::vector<Rank>& ranks, FanPhase phase) {
-  const auto invoke = [&](Rank r, EventContext& ctx) {
-    Process& p = *processes_[static_cast<std::size_t>(r)];
-    if (phase == FanPhase::kStart) {
-      p.start(ctx);
-    } else {
-      p.idle(ctx);
-    }
-  };
-  if (backend_.mode() == ExecMode::kSequential) {
-    for (Rank r : ranks) {
-      EventContext ctx(*this, r);
-      invoke(r, ctx);
-    }
-    return;
-  }
   std::vector<CommFabric::Lane> lanes;
   lanes.reserve(ranks.size());
   std::vector<EventContext> ctxs;
   ctxs.reserve(ranks.size());
   for (Rank r : ranks) {
     lanes.push_back(fabric_.make_lane(r));
-    ctxs.push_back(EventContext(*this, r, &lanes.back()));
+    ctxs.push_back(EventContext(*this, lanes.back()));
   }
-  // Callbacks run concurrently against their lanes (the shared fabric is
-  // only read); the rank-ordered merge below restores the sequential global
-  // order of sequence numbers, transport state and trace output.
-  backend_.parallel_for(ctxs.size(),
-                        [&](std::size_t i) { invoke(ranks[i], ctxs[i]); });
+  // Callbacks run against their lanes (the shared fabric is only read):
+  // concurrently under a threaded backend, inline in order otherwise. The
+  // rank-ordered merge below fixes the global order of sequence numbers,
+  // transport state and trace output.
+  backend_.parallel_for(ctxs.size(), [&](std::size_t i) {
+    Process& p = *processes_[static_cast<std::size_t>(ranks[i])];
+    if (phase == FanPhase::kStart) {
+      p.start(ctxs[i]);
+    } else {
+      p.idle(ctxs[i]);
+    }
+  });
   for (std::size_t i = 0; i < ctxs.size(); ++i) {
     fabric_.absorb_lane(lanes[i]);
     replay_ops(ranks[i], ctxs[i].ops_);
@@ -594,12 +467,13 @@ RunResult EventEngine::run() {
     while (!queue_.empty()) {
       if (windowed) {
         dispatch_window();
-      } else {
-        Event ev = std::move(const_cast<Event&>(queue_.top()));
-        queue_.pop();
-        EventContext ctx(*this, ev.dst);
-        dispatch(ev, ctx);
+        continue;
       }
+      // priority_queue::top is const; the move is safe because the element
+      // is popped immediately after.
+      const Event ev = std::move(const_cast<Event&>(queue_.top()));
+      queue_.pop();
+      run_inline(ev.dst, [&](EventContext& ctx) { dispatch(ev, ctx); });
     }
     bool all_done = true;
     for (const auto& p : processes_) {

@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <span>
 #include <string>
@@ -52,43 +53,41 @@ class EventEngine;
 
 /// Per-rank API surface handed to Process callbacks.
 ///
-/// During the engine's parallel phases (the start/idle fan-outs and windowed
-/// event dispatch, with a threaded backend) the context runs *deferred*:
-/// charges go to a private fabric lane (borrowed from the engine — one lane
-/// per rank shard) and every fabric-visible action — sends, round labels,
-/// transport acks/retransmissions, recovery notes — is recorded in program
-/// order, then replayed through the fabric in deterministic order
-/// afterwards, so the event schedule is bit-identical to sequential
-/// execution. With a sequential backend the context is *direct* and every
-/// operation hits the live fabric immediately.
+/// Every context borrows a private fabric lane from the engine (one lane
+/// per rank shard; one lane may serve many per-event contexts in sequence):
+/// charges go to the lane, and every fabric-visible action — sends, round
+/// labels, transport acks/retransmissions, recovery notes — is recorded in
+/// program order, then replayed through the fabric in deterministic order
+/// once the callback (or dispatch window) ends. A sequential backend runs
+/// the same lanes inline, so the event schedule is bit-identical at every
+/// thread count.
 class EventContext {
  public:
-  [[nodiscard]] Rank rank() const noexcept { return rank_; }
-  [[nodiscard]] Rank num_ranks() const noexcept;
+  [[nodiscard]] Rank rank() const noexcept { return lane_->rank(); }
 
   /// Advances this rank's virtual clock by work_units * seconds_per_work.
-  void charge(double work_units) noexcept;
+  void charge(double work_units) noexcept { lane_->charge(work_units); }
 
   /// Sends a payload to dst; `records` is the number of algorithm-level
   /// records inside (statistics only).
   void send(Rank dst, std::vector<std::byte> payload, std::int64_t records);
 
   /// Current virtual time of this rank.
-  [[nodiscard]] double now() const noexcept;
+  [[nodiscard]] double now() const noexcept { return lane_->now(); }
 
   /// Trace attribution (instrumentation only): the round label this rank's
   /// subsequent sends carry, and the phase its charges count toward.
   void set_round(int round);
-  void set_phase(WorkPhase phase) noexcept;
+  void set_phase(WorkPhase phase) noexcept { lane_->set_phase(phase); }
 
  private:
   friend class EventEngine;
 
-  /// One recorded deferred action; ops must replay in their original program
-  /// order (a round label attributes the sends that follow it, a transport
-  /// ack precedes the handler it unblocked, and so on). Handler-level ops
+  /// One recorded action; ops replay in their original program order (a
+  /// round label attributes the sends that follow it, a transport ack
+  /// precedes the handler it unblocked, and so on). Handler-level ops
   /// (kSend/kRound) and engine-level transport ops share one list so a
-  /// window merge reproduces each event's full effect sequence.
+  /// replay reproduces each event's full effect sequence.
   struct DeferredOp {
     enum class Kind : std::uint8_t {
       kSend,                 ///< Handler ctx.send (first transmission).
@@ -104,7 +103,8 @@ class EventContext {
     Rank peer = kNoRank;             ///< Send/ack target or retry peer.
     std::vector<std::byte> payload;  ///< kSend; kRetransmit (snapshot).
     std::int64_t records = 0;
-    double send_time = 0.0;  ///< kSend/kAck/kRetransmit: lane-priced time.
+    /// kSend/kAck/kRetransmit: the lane-priced send.
+    std::optional<CommFabric::SendTicket> ticket;
     double note_time = 0.0;  ///< kNote*: the clock value the note reads.
     double seconds = 0.0;    ///< kNoteBackoff: waited seconds.
     int round = 0;           ///< kRound label.
@@ -112,29 +112,15 @@ class EventContext {
     std::uint64_t tseq = 0;  ///< kAck/kRetransmit: transport sequence.
   };
 
-  /// Direct context: operations hit the live fabric immediately.
-  EventContext(EventEngine& engine, Rank rank)
-      : engine_(&engine), rank_(rank) {}
-  /// Deferred context over a borrowed lane (owned by the engine's fan-out or
-  /// window shard; one lane may serve many per-event contexts in sequence).
-  EventContext(EventEngine& engine, Rank rank, CommFabric::Lane* lane)
-      : engine_(&engine), rank_(rank), lane_(lane) {}
+  EventContext(EventEngine& engine, CommFabric::Lane& lane)
+      : engine_(&engine), lane_(&lane) {}
 
-  [[nodiscard]] bool deferred() const noexcept { return lane_ != nullptr; }
-
-  // Engine-side dispatch helpers: each is the deferred/direct pair of one
-  // sequential-engine operation (record on the lane vs apply to the fabric).
-  void advance_to(double t);
-  double begin_send(bool fault_exempt);
-  void note_backoff(double seconds);
-  void note_retry(Rank peer, int attempt);
-  void note_dup_suppressed();
-  void note_corruption_detected();
+  /// Appends an op of `kind` and returns it for the caller to fill in.
+  DeferredOp& record(DeferredOp::Kind kind);
 
   EventEngine* engine_;
-  Rank rank_;
-  CommFabric::Lane* lane_ = nullptr;  // deferred execution only (borrowed)
-  std::vector<DeferredOp> ops_;       // deferred execution only
+  CommFabric::Lane* lane_;  // borrowed
+  std::vector<DeferredOp> ops_;
 };
 
 /// A rank's algorithm state machine.
@@ -178,8 +164,9 @@ class EventEngine {
   /// event dispatch runs *windowed*: batches of events within the model's
   /// minimum event-generation lookahead are sharded by destination rank
   /// across the pool and their recorded effects merged in (time, seq) order.
-  /// Both paths use deferred contexts over private fabric lanes, so the
-  /// observable run is bit-identical to sequential execution.
+  /// Every path runs its contexts over private fabric lanes and replays
+  /// their recorded effects in order, so the observable run is
+  /// bit-identical at every thread count.
   EventEngine(MachineModel model, FabricConfig config, ExecConfig exec = {});
 
   /// `jitter_seconds` > 0 adds a deterministic pseudo-random delay in
@@ -201,10 +188,6 @@ class EventEngine {
 
   /// Access to a rank's process (e.g. to extract results after run()).
   [[nodiscard]] Process& process(Rank r) { return *processes_[static_cast<std::size_t>(r)]; }
-
-  [[nodiscard]] const MachineModel& model() const noexcept {
-    return fabric_.model();
-  }
 
   /// The shared comm substrate (clocks, costs, stats, instrumentation).
   [[nodiscard]] CommFabric& fabric() noexcept { return fabric_; }
@@ -255,38 +238,36 @@ class EventEngine {
     std::unordered_map<Rank, std::unordered_set<std::uint64_t>> delivered;
   };
 
-  void enqueue(Rank src, Rank dst, std::vector<std::byte> payload,
-               std::int64_t records);
-  /// Deferred-replay variant of enqueue(): the sender-side clock costs were
-  /// already applied to the rank's lane, `send_time` is the lane's recorded
-  /// value (fabric pricing goes through CommFabric::post_send_at).
-  void enqueue_at(Rank src, Rank dst, std::vector<std::byte> payload,
-                  std::int64_t records, double send_time);
   void push_event(Event ev);
+  /// Posts a handler's first transmission of `payload` (ticket from the
+  /// sending rank's lane), through the reliable transport when it is on.
+  void enqueue(Rank dst, std::vector<std::byte> payload, std::int64_t records,
+               CommFabric::SendTicket ticket);
   /// Prices and schedules one (re)transmission of `payload` whose
-  /// sender-side clock costs are already paid (send_time is the priced send
-  /// instant), arming the next retry timer unless `attempt` exhausted the
-  /// budget. Shared by the sequential path and the window-merge replay.
-  void transmit_priced(Rank src, Rank dst, std::uint64_t tseq,
-                       const std::vector<std::byte>& payload,
-                       std::int64_t records, int attempt, double send_time);
-  /// Prices and schedules one transport ack whose sender-side clock costs
-  /// are already paid. Acks ride the same lossy fabric but never retry.
-  void replay_ack(Rank from, Rank to, std::uint64_t tseq, double send_time);
-  /// Dispatches one event through `ctx`: direct contexts apply every effect
-  /// to the live fabric (the sequential path), deferred contexts record the
-  /// effects for the window merge.
+  /// sender-side clock costs the ticket already paid, arming the next retry
+  /// timer unless `attempt` exhausted the budget.
+  void transmit(Rank dst, std::uint64_t tseq,
+                const std::vector<std::byte>& payload, std::int64_t records,
+                int attempt, CommFabric::SendTicket ticket);
+  /// Prices and schedules one transport ack. Acks ride the same lossy
+  /// fabric but never retry.
+  void send_ack(Rank to, std::uint64_t tseq, CommFabric::SendTicket ticket);
+  /// Dispatches one event through `ctx`, recording its effects on the
+  /// context for replay_ops().
   void dispatch(const Event& ev, EventContext& ctx);
+  /// Runs body(ctx) for one rank inline: make lane → body → absorb_lane →
+  /// replay_ops (the sequential loop and single-shard windows).
+  template <typename Body>
+  void run_inline(Rank rank, Body&& body);
   /// Pops the next window of events (all within window_seconds_ of the
   /// queue head), dispatches it sharded by destination rank on the backend,
   /// then merges: absorbs the shard lanes and replays every event's
   /// recorded ops in (time, seq) pop order.
   void dispatch_window();
-  /// Replays one deferred context's recorded ops against the live fabric.
+  /// Replays one context's recorded ops against the live fabric.
   void replay_ops(Rank rank, std::vector<EventContext::DeferredOp>& ops);
-  /// Runs start() (phase == kStart) or idle() over `ranks`: inline and in
-  /// order with a sequential backend, concurrently with deferred contexts
-  /// merged in rank order with a threaded one.
+  /// Runs start() (phase == kStart) or idle() over `ranks` on the backend
+  /// (inline and in order when sequential), merged in rank order.
   enum class FanPhase : std::uint8_t { kStart, kIdle };
   void fan_out(const std::vector<Rank>& ranks, FanPhase phase);
 

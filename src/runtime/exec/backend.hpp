@@ -3,10 +3,10 @@
 // ExecutionBackend; drivers thread it in from their options structs.
 //
 // The backend only decides WHERE rank callbacks run. The engines keep the
-// WHAT deterministic: a parallel phase runs every rank against a private
-// accounting lane and merges the results in rank order, so the observable
-// simulation (modelled time, traces, matchings, colorings) is bit-identical
-// at every thread count.
+// WHAT deterministic: every phase, at every thread count, runs each rank
+// against a private accounting lane and replays the results in a fixed
+// order, so the observable simulation (modelled time, traces, matchings,
+// colorings) is bit-identical whichever backend ran it.
 #pragma once
 
 #include <cstddef>

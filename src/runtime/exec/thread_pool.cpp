@@ -45,15 +45,17 @@ void ThreadPool::parallel_for(std::size_t n,
   }
   std::lock_guard run_lock(run_m_);
   const auto workers = slots_.size();
-  std::uint64_t job;
-  {
-    std::lock_guard lock(job_m_);
-    job_ = &fn;
-    job = ++job_id_;
-    outstanding_ = n;
-    failure_ = nullptr;
-    failed_index_ = 0;
-  }
+  // run_m_ makes this thread the only writer of job_id_, so the read needs
+  // no job_m_.
+  const std::uint64_t job = job_id_ + 1;
+  // Enqueue every index *before* publishing the job. A worker that wakes
+  // for the new job_id_ must find its work already queued: if it could
+  // observe the id first, find every deque empty and go back to sleep, the
+  // wait predicate (job_id_ != seen) would stay false and no later notify
+  // could wake it — a lost wakeup that deadlocks the caller on done_cv_.
+  // Entries carry the job id, so no worker touches them before it has
+  // seen the publication below.
+  //
   // Contiguous blocks: worker w owns [w*n/W, (w+1)*n/W). Owners pop from the
   // front so blocks execute in index order unless stolen from the back.
   for (std::size_t w = 0; w < workers; ++w) {
@@ -62,6 +64,14 @@ void ThreadPool::parallel_for(std::size_t n,
     if (lo == hi) continue;
     std::lock_guard lock(slots_[w]->m);
     for (std::size_t i = lo; i < hi; ++i) slots_[w]->q.emplace_back(job, i);
+  }
+  {
+    std::lock_guard lock(job_m_);
+    job_ = &fn;
+    job_id_ = job;
+    outstanding_ = n;
+    failure_ = nullptr;
+    failed_index_ = 0;
   }
   job_cv_.notify_all();
   std::exception_ptr failure;

@@ -1,6 +1,10 @@
 #include "runtime/fabric.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
+#include <utility>
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -82,55 +86,41 @@ double CommFabric::max_time() const {
   return *std::max_element(clocks_.begin(), clocks_.end());
 }
 
-void CommFabric::advance_to(Rank r, double t) {
-  auto& clock = clocks_[static_cast<std::size_t>(r)];
-  clock = std::max(clock, t);
+CommFabric::SendTicket::SendTicket(Rank src, double time,
+                                   bool fault_exempt) noexcept
+    : src_(src),
+      time_(time),
+      fault_exempt_(fault_exempt),
+      unwinding_(std::uncaught_exceptions()) {}
+
+CommFabric::SendTicket::SendTicket(SendTicket&& other) noexcept
+    : src_(other.src_),
+      time_(other.time_),
+      fault_exempt_(other.fault_exempt_),
+      live_(std::exchange(other.live_, false)),
+      unwinding_(other.unwinding_) {}
+
+CommFabric::SendTicket::~SendTicket() {
+  if (!live_ || std::uncaught_exceptions() > unwinding_) return;
+  std::fprintf(stderr,
+               "pmc: SendTicket from rank %d (send time %.17g) destroyed "
+               "without post_send_at — a charged send never reached the "
+               "cost model\n",
+               static_cast<int>(src_), time_);
+  std::abort();
 }
 
-void CommFabric::charge(Rank r, double work_units) {
-  const double seconds = model_.compute_seconds(work_units);
-  clocks_[static_cast<std::size_t>(r)] += seconds;
-  compute_seconds_[static_cast<std::size_t>(r)] += seconds;
-  trace_.on_compute(r, seconds);
-}
-
-void CommFabric::charge(Rank r, double work_units, WorkPhase phase) {
-  const double seconds = model_.compute_seconds(work_units);
-  clocks_[static_cast<std::size_t>(r)] += seconds;
-  compute_seconds_[static_cast<std::size_t>(r)] += seconds;
-  trace_.on_compute(r, seconds, phase);
-}
-
-double CommFabric::begin_send(Rank src, bool fault_exempt) {
-  if (config_.fault.enabled() && !fault_exempt) {
-    // A stalled sender cannot inject into the network until the window
-    // clears (stalls also cover the exempt path: the rank itself is down,
-    // not just the lossy link).
-    advance_to(src, stall_clear(src, clocks_[static_cast<std::size_t>(src)]));
-  }
-  // Sender pays the per-message software overhead (LogP "o") before the
-  // message enters the network — the cost message bundling amortizes.
-  clocks_[static_cast<std::size_t>(src)] += model_.send_overhead;
-  return clocks_[static_cast<std::size_t>(src)];
-}
-
-CommFabric::SendReceipt CommFabric::post_send(Rank src, Rank dst,
-                                              std::size_t payload_bytes,
-                                              std::int64_t records,
-                                              bool fault_exempt) {
-  return post_send_at(src, dst, payload_bytes, records,
-                      begin_send(src, fault_exempt), fault_exempt);
-}
-
-CommFabric::SendReceipt CommFabric::post_send_at(Rank src, Rank dst,
+CommFabric::SendReceipt CommFabric::post_send_at(SendTicket ticket, Rank dst,
                                                  std::size_t payload_bytes,
-                                                 std::int64_t records,
-                                                 double send_time,
-                                                 bool fault_exempt) {
+                                                 std::int64_t records) {
+  // Consumed before anything can throw: a rejected send is not a lost one.
+  ticket.live_ = false;
+  const Rank src = ticket.src_;
+  const double send_time = ticket.time_;
   PMC_REQUIRE(dst >= 0 && dst < num_ranks(), "send to invalid rank " << dst);
   PMC_REQUIRE(dst != src, "send to self (rank " << src << ")");
   const FaultConfig& F = config_.fault;
-  const bool faulty = F.enabled() && !fault_exempt;
+  const bool faulty = F.enabled() && !ticket.fault_exempt_;
   double arrival =
       send_time + model_.message_seconds(static_cast<double>(payload_bytes));
   if (config_.jitter_seconds > 0.0) {
@@ -241,14 +231,17 @@ void CommFabric::Lane::charge(double work_units, WorkPhase phase) {
   }
 }
 
-double CommFabric::Lane::begin_send(bool fault_exempt) {
-  // Same two clock operations post_send() applies to the live clock, in the
-  // same order, so the replica reproduces the send time bit-for-bit.
+CommFabric::SendTicket CommFabric::Lane::begin_send(bool fault_exempt) {
   if (fabric_->config_.fault.enabled() && !fault_exempt) {
+    // A stalled sender cannot inject into the network until the window
+    // clears (stalls also cover the exempt path: the rank itself is down,
+    // not just the lossy link).
     clock_ = std::max(clock_, fabric_->stall_clear(rank_, clock_));
   }
+  // Sender pays the per-message software overhead (LogP "o") before the
+  // message enters the network — the cost message bundling amortizes.
   clock_ += fabric_->model_.send_overhead;
-  return clock_;
+  return SendTicket(rank_, clock_, fault_exempt);
 }
 
 void CommFabric::absorb_lane(const Lane& lane) {

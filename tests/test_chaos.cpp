@@ -10,12 +10,14 @@
 //  - determinism: a fixed fault seed reproduces the run to the last bit.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/pmc.hpp"
 #include "runtime/exec/backend.hpp"
+#include "test_util.hpp"
 
 namespace pmc {
 namespace {
@@ -358,7 +360,7 @@ TEST_F(ColoringChaos, CorruptionEventsAppearInTheJsonlTrace) {
   auto opt = with_env_exec(DistColoringOptions::improved());
   opt.faults.corrupt_rate = 0.20;
   opt.faults.seed = 61;
-  opt.trace.jsonl_path = testing::TempDir() + "pmc_chaos_corrupt.jsonl";
+  opt.trace.jsonl_path = test::unique_temp_path("pmc_chaos_corrupt.jsonl");
   const auto r = color_distributed(dist_, opt);
   expect_all_corruptions_detected(r.run);
   std::ifstream in(opt.trace.jsonl_path);
@@ -373,6 +375,7 @@ TEST_F(ColoringChaos, CorruptionEventsAppearInTheJsonlTrace) {
       ++detected_lines;
     }
   }
+  std::remove(opt.trace.jsonl_path.c_str());
   const FaultStats f = r.run.breakdown.total_faults();
   EXPECT_EQ(corrupt_lines, f.corruptions);
   EXPECT_EQ(detected_lines, f.corruptions_detected);

@@ -30,6 +30,7 @@
 // small-superstep boundary-first schedule where polls do deliver.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -37,6 +38,7 @@
 
 #include "core/pmc.hpp"
 #include "partition/simple.hpp"
+#include "test_util.hpp"
 
 namespace pmc {
 namespace {
@@ -230,7 +232,7 @@ TEST(DeterminismRegression, Distance2ColoringScenario) {
 // three supersteps later — mid-round, before the round-end drain. The
 // schedule exercises both run_ranks_snapshot branches: the superstep after
 // every allreduce starts from equalized clocks (always safe, parallel) and
-// later supersteps diverge (sequential live-poll fallback).
+// later supersteps diverge (rank-by-rank fallback).
 TEST(DeterminismRegression, SnapshotAsyncColoringScenarios) {
   const Graph g = circuit_like(2000, 4000, 6, WeightKind::kUnit, 62);
   const Partition p =
@@ -338,9 +340,9 @@ TEST(ThreadInvariance, DistributedColoringScenarios) {
   const DistGraph dist = DistGraph::build(g, p);
 
   // Async supersteps (the presets' default) run through the snapshot
-  // harvest — deferred (parallel-capable) when the clock safety check
-  // passes, live-poll sequential fallback when it does not; sync supersteps
-  // exercise the unconditional deferred-lane merge. All must be invariant,
+  // harvest — parallel-capable when the clock safety check passes,
+  // rank-by-rank fallback when it does not; sync supersteps exercise the
+  // plain run_ranks lane merge. All must be invariant,
   // with and without faults. Scenarios [4] and [5] color boundary vertices
   // first with 16-vertex supersteps so mid-round polls really deliver
   // messages and both snapshot branches run.
@@ -498,8 +500,8 @@ TEST(ThreadInvariance, TraceOutputIsByteIdentical) {
 
   std::string base;
   for (const int threads : kThreadSweep) {
-    const std::string path = testing::TempDir() + "pmc_thread_trace_" +
-                             std::to_string(threads) + ".jsonl";
+    const std::string path = test::unique_temp_path(
+        "pmc_thread_trace_" + std::to_string(threads) + ".jsonl");
     opt.trace.jsonl_path = path;
     opt.exec.threads = threads;
     (void)color_distributed(dist, opt);
@@ -507,6 +509,7 @@ TEST(ThreadInvariance, TraceOutputIsByteIdentical) {
     ASSERT_TRUE(in.good());
     std::ostringstream contents;
     contents << in.rdbuf();
+    std::remove(path.c_str());
     ASSERT_FALSE(contents.str().empty());
     if (threads == 1) {
       base = contents.str();
@@ -536,9 +539,9 @@ TEST(ThreadInvariance, AsyncMatchingTraceIsByteIdentical) {
     std::string base_trace;
     std::string base_fp;
     for (const int threads : kThreadSweep) {
-      const std::string path = testing::TempDir() + "pmc_async_trace_" +
-                               std::to_string(scenario) + "_" +
-                               std::to_string(threads) + ".jsonl";
+      const std::string path = test::unique_temp_path(
+          "pmc_async_trace_" + std::to_string(scenario) + "_" +
+          std::to_string(threads) + ".jsonl");
       opt.trace.jsonl_path = path;
       opt.exec.threads = threads;
       const auto r = match_distributed(dist, opt);
@@ -547,6 +550,7 @@ TEST(ThreadInvariance, AsyncMatchingTraceIsByteIdentical) {
       ASSERT_TRUE(in.good());
       std::ostringstream contents;
       contents << in.rdbuf();
+      std::remove(path.c_str());
       ASSERT_FALSE(contents.str().empty());
       if (threads == 1) {
         base_trace = contents.str();
@@ -587,9 +591,9 @@ TEST(ThreadInvariance, AsyncColoringTraceIsByteIdentical) {
     std::string base_trace;
     std::string base_fp;
     for (const int threads : kThreadSweep) {
-      const std::string path = testing::TempDir() + "pmc_async_color_trace_" +
-                               std::to_string(scenario) + "_" +
-                               std::to_string(threads) + ".jsonl";
+      const std::string path = test::unique_temp_path(
+          "pmc_async_color_trace_" + std::to_string(scenario) + "_" +
+          std::to_string(threads) + ".jsonl");
       opt.trace.jsonl_path = path;
       opt.exec.threads = threads;
       const auto r = color_distributed(dist, opt);
@@ -600,6 +604,7 @@ TEST(ThreadInvariance, AsyncColoringTraceIsByteIdentical) {
       ASSERT_TRUE(in.good());
       std::ostringstream contents;
       contents << in.rdbuf();
+      std::remove(path.c_str());
       ASSERT_FALSE(contents.str().empty());
       if (threads == 1) {
         base_trace = contents.str();

@@ -98,6 +98,27 @@ TEST(ThreadPool, ReusableAcrossJobsAndHandlesSmallN) {
   EXPECT_EQ(total.load(), 100);
 }
 
+TEST(ThreadPool, ThousandsOfTinyJobsNeverLoseAWakeup) {
+  // Regression for a lost wakeup: parallel_for once published the job
+  // before queueing its indices, so a worker waking in that gap found every
+  // deque empty, went back to sleep on an already-consumed notification,
+  // and the caller waited forever. Tiny jobs make workers race the
+  // publication as often as possible; a hang fails on the ctest timeout.
+  for (const int workers : {4, 8}) {
+    ThreadPool pool(workers);
+    std::atomic<std::size_t> ran{0};
+    std::size_t expected = 0;
+    for (int job = 0; job < 20000; ++job) {
+      const auto n = static_cast<std::size_t>(1 + job % (2 * workers));
+      pool.parallel_for(n, [&](std::size_t) {
+        ran.fetch_add(1, std::memory_order_relaxed);
+      });
+      expected += n;
+    }
+    EXPECT_EQ(ran.load(), expected) << "workers=" << workers;
+  }
+}
+
 TEST(ThreadPool, NestedParallelForRunsInlineOnWorker) {
   // A worker that re-enters parallel_for must not wait on the pool's job
   // lock (that would deadlock); the nested loop runs inline on the worker.
@@ -179,8 +200,8 @@ TEST(ExecutionBackend, TaskWindowRethrowsLowestIndexFailure) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level equivalence: a deferred (threaded) phase must reproduce the
-// direct (sequential) fabric state exactly — clocks, stats, fault verdicts.
+// Engine-level equivalence: a phase run on the pool must reproduce the
+// sequential backend's fabric state exactly — clocks, stats, fault verdicts.
 
 std::string fabric_fingerprint(const RunResult& run) {
   std::ostringstream os;
@@ -208,7 +229,7 @@ RunResult run_bsp_scenario(int threads, std::int64_t* dropped_seen) {
   std::int64_t drops = 0;
   for (int step = 0; step < 4; ++step) {
     engine.fabric().set_round_all(step);
-    engine.run_ranks(true, [&](BspEngine::RankCtx& ctx) {
+    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
       const Rank r = ctx.rank();
       ctx.charge(3.5 * static_cast<double>(r + 1), WorkPhase::kInterior);
       for (Rank dst = 0; dst < kRanks; ++dst) {
@@ -223,7 +244,7 @@ RunResult run_bsp_scenario(int threads, std::int64_t* dropped_seen) {
       ctx.charge(2.0, WorkPhase::kBoundary);
     });
     engine.barrier();
-    engine.run_ranks(true, [&](BspEngine::RankCtx& ctx) {
+    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
       for (const BspMessage& msg : ctx.drain()) {
         ctx.charge(static_cast<double>(msg.payload.size()));
       }
@@ -251,7 +272,7 @@ TEST(ExecEquivalence, BspDeferredPhasesMatchSequential) {
 // ---------------------------------------------------------------------------
 // Snapshot-superstep equivalence: asynchronous phases (mid-superstep polls)
 // must reproduce the sequential schedule exactly whether the clock safety
-// check admits the deferred parallel path or forces the live-poll fallback.
+// check admits the parallel branch or forces the rank-by-rank fallback.
 
 struct SnapshotProbe {
   RunResult run;
@@ -272,7 +293,7 @@ SnapshotProbe run_bsp_snapshot_scenario(int threads) {
   BspEngine engine(kRanks, MachineModel::blue_gene_p(), config,
                    ExecConfig{threads});
   SnapshotProbe probe;
-  // Per-rank so the deferred bodies (which run on the pool) never share a
+  // Per-rank so the bodies (which may run on the pool) never share a
   // counter; receipt callbacks replay sequentially, so `drops` is safe as-is.
   std::array<std::int64_t, kRanks> polled{};
   for (int round = 0; round < 3; ++round) {
@@ -288,7 +309,7 @@ SnapshotProbe run_bsp_snapshot_scenario(int threads) {
         // Rank-skewed compute: clocks diverge within the round, so later
         // supersteps trip the safety check and take the fallback, while the
         // superstep right after each allreduce starts from equal clocks and
-        // runs deferred.
+        // takes the parallel branch.
         ctx.charge(40.0 * static_cast<double>(r + 1), WorkPhase::kInterior);
         for (Rank hop = 1; hop <= 2; ++hop) {
           std::vector<std::byte> payload(static_cast<std::size_t>(8 + r));
@@ -302,7 +323,7 @@ SnapshotProbe run_bsp_snapshot_scenario(int threads) {
     }
     // Round boundary: collect stragglers and re-equalize the clocks.
     engine.barrier();
-    engine.run_ranks(true, [&](BspEngine::RankCtx& ctx) {
+    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
       for (const BspMessage& msg : ctx.drain()) {
         ctx.charge(static_cast<double>(msg.records), WorkPhase::kBoundary);
       }

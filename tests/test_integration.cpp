@@ -2,12 +2,14 @@
 // benchmark harness and the paper's experiments wire them together.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "core/experiment.hpp"
 #include "core/pmc.hpp"
 #include "support/table.hpp"
+#include "test_util.hpp"
 
 namespace pmc {
 namespace {
@@ -65,7 +67,7 @@ TEST(Integration, CircuitPipelineWithBothPartitioners) {
 TEST(Integration, MatrixMarketToMatchingQuality) {
   // The Table 1.1 pipeline: matrix file -> bipartite graph -> approximate
   // and exact matchings -> quality ratio.
-  const std::string path = ::testing::TempDir() + "/pmc_quality.mtx";
+  const std::string path = test::unique_temp_path("pmc_quality.mtx");
   {
     BipartiteInfo info;
     const Graph g = random_bipartite(40, 40, 220, info,
@@ -75,6 +77,7 @@ TEST(Integration, MatrixMarketToMatchingQuality) {
     write_matrix_market(out, m);
   }
   const SparseMatrix m = read_matrix_market_file(path);
+  std::remove(path.c_str());
   BipartiteInfo info;
   const Graph g = matrix_to_bipartite(m, info);
   const Matching approx = locally_dominant_matching(g);

@@ -1,19 +1,19 @@
 // Fixture suite for pmc-lint (tools/pmc-lint): every determinism rule
-// D1–D7 must both fire on its violation fixture and stay silent on the
+// D1–D5 must both fire on its violation fixture and stay silent on the
 // conforming one, the allow() suppression path must work (and demand a
 // justification), and the path-based rule scoping must carve out the
 // sanctioned homes (rng/timer for entropy, serialize for raw bytes).
 //
 // The v2 whole-program analysis gets the same treatment: the cross-TU
 // schema rule D8 (encoder/decoder symmetry per message kind or schema()
-// binding), the cost-accounting rule D9, the D10 stale-suppression audit,
-// D1–D7 propagation through one level of helper indirection, and the
-// SARIF / baseline-ratchet report plumbing.
+// binding), the D10 stale-suppression audit, D1–D5 propagation through one
+// level of helper indirection, and the SARIF / baseline-ratchet report
+// plumbing. The retired D6/D7/D9 are compile-fail tests now
+// (tests/compile_fail/).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "lint.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -133,91 +134,6 @@ TEST(LintD5, SilentOnIntegerFoldsAndSortedSnapshots) {
   EXPECT_TRUE(with_rule(lint_fixture("d5_clean.cpp"), "D5").empty());
 }
 
-// ---- D6: direct post_send in event-path code --------------------------------
-
-TEST(LintD6, FiresOnDirectPostSendInHandlerCode) {
-  const auto d6 = with_rule(lint_fixture("d6_violation.cpp"), "D6");
-  ASSERT_EQ(d6.size(), 1u);
-  EXPECT_FALSE(d6[0].suppressed);
-  EXPECT_EQ(d6[0].line, 22);
-  EXPECT_NE(d6[0].message.find("EventContext::send"), std::string::npos);
-}
-
-TEST(LintD6, SilentOnDeferredSendAndExplicitTimePricing) {
-  // ctx.send + begin_send/post_send_at are the sanctioned routes.
-  EXPECT_TRUE(with_rule(lint_fixture("d6_clean.cpp"), "D6").empty());
-}
-
-TEST(LintD6, SilentWhenTheFileNeverMentionsEventContext) {
-  // The BSP engine's direct superstep path may call post_send: the content
-  // gate keeps files with no EventContext involvement out of scope even
-  // when the path predicate matches.
-  std::ifstream in(fixture("d6_violation.cpp"), std::ios::binary);
-  ASSERT_TRUE(in.good());
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  std::string::size_type pos;
-  while ((pos = text.find("EventContext")) != std::string::npos) {
-    text.replace(pos, std::strlen("EventContext"), "SuperstepSlot");
-  }
-  const auto diags =
-      pmc_lint::analyze_source("src/matching/x.cpp", text,
-                               pmc_lint::scope_for_path("src/matching/x.cpp"));
-  EXPECT_TRUE(with_rule(diags, "D6").empty());
-}
-
-TEST(LintD6, SuppressionNeedsAJustification) {
-  const auto d6 = with_rule(lint_fixture("d6_suppressed.cpp"), "D6");
-  ASSERT_EQ(d6.size(), 2u);
-  EXPECT_TRUE(d6[0].suppressed);
-  EXPECT_EQ(d6[0].justification,
-            "sequential-only debug harness, never run windowed");
-  EXPECT_FALSE(d6[1].suppressed);
-}
-
-// ---- D7: raw mid-superstep poll in BSP driver code --------------------------
-
-TEST(LintD7, FiresOnRawPollInSuperstepBody) {
-  const auto d7 = with_rule(lint_fixture("d7_violation.cpp"), "D7");
-  ASSERT_EQ(d7.size(), 1u);
-  EXPECT_FALSE(d7[0].suppressed);
-  EXPECT_EQ(d7[0].line, 23);
-  EXPECT_NE(d7[0].message.find("RankCtx::poll()"), std::string::npos);
-}
-
-TEST(LintD7, SilentOnSnapshotGatedPollAndDrain) {
-  // ctx.poll() with no arguments is the sanctioned harvest; drain() is a
-  // barrier-phase API and out of D7's sights entirely.
-  EXPECT_TRUE(with_rule(lint_fixture("d7_clean.cpp"), "D7").empty());
-}
-
-TEST(LintD7, SilentWhenTheFileNeverMentionsRankCtx) {
-  // Non-driver code (the event engine, the fabric) may own member poll()
-  // calls: the content gate keeps files with no RankCtx involvement out of
-  // scope even when the path predicate matches.
-  std::ifstream in(fixture("d7_violation.cpp"), std::ios::binary);
-  ASSERT_TRUE(in.good());
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  std::string::size_type pos;
-  while ((pos = text.find("RankCtx")) != std::string::npos) {
-    text.replace(pos, std::strlen("RankCtx"), "SlotCtx");
-  }
-  const auto diags =
-      pmc_lint::analyze_source("src/coloring/x.cpp", text,
-                               pmc_lint::scope_for_path("src/coloring/x.cpp"));
-  EXPECT_TRUE(with_rule(diags, "D7").empty());
-}
-
-TEST(LintD7, SuppressionNeedsAJustification) {
-  const auto d7 = with_rule(lint_fixture("d7_suppressed.cpp"), "D7");
-  ASSERT_EQ(d7.size(), 2u);
-  EXPECT_TRUE(d7[0].suppressed);
-  EXPECT_EQ(d7[0].justification,
-            "sequential-only diagnostics dump, never parallel");
-  EXPECT_FALSE(d7[1].suppressed);
-}
-
 // ---- rule scoping ----------------------------------------------------------
 
 TEST(LintScope, SanctionedHomesAreExempt) {
@@ -242,27 +158,6 @@ TEST(LintScope, D1BindsToMessageProducingDirectories) {
   // Absolute build paths normalize to the repo-relative form.
   EXPECT_TRUE(
       pmc_lint::scope_for_path("/root/repo/src/matching/parallel.cpp").d1);
-}
-
-TEST(LintScope, D6BindsToTheEventPath) {
-  EXPECT_TRUE(pmc_lint::scope_for_path("src/runtime/event_engine.cpp").d6);
-  EXPECT_TRUE(pmc_lint::scope_for_path("src/runtime/event_engine.hpp").d6);
-  EXPECT_TRUE(pmc_lint::scope_for_path("src/matching/parallel.cpp").d6);
-  EXPECT_TRUE(pmc_lint::scope_for_path("src/coloring/parallel.cpp").d6);
-  // The BSP engine and the fabric itself legitimately own post_send.
-  EXPECT_FALSE(pmc_lint::scope_for_path("src/runtime/bsp_engine.cpp").d6);
-  EXPECT_FALSE(pmc_lint::scope_for_path("src/runtime/fabric.cpp").d6);
-}
-
-TEST(LintScope, D7BindsToBspDriverCodeButNotTheEngine) {
-  EXPECT_TRUE(pmc_lint::scope_for_path("src/coloring/parallel.cpp").d7);
-  EXPECT_TRUE(pmc_lint::scope_for_path("src/matching/parallel.cpp").d7);
-  EXPECT_TRUE(pmc_lint::scope_for_path("src/runtime/event_engine.cpp").d7);
-  // The engine's own files implement the snapshot harvest — they own the
-  // raw inbox read.
-  EXPECT_FALSE(pmc_lint::scope_for_path("src/runtime/bsp_engine.cpp").d7);
-  EXPECT_FALSE(pmc_lint::scope_for_path("src/runtime/bsp_engine.hpp").d7);
-  EXPECT_FALSE(pmc_lint::scope_for_path("src/graph/algorithms.cpp").d7);
 }
 
 TEST(LintScope, PathScopingChangesTheFindings) {
@@ -378,54 +273,6 @@ TEST(LintD8, SchemaAnnotationBindsFunctionsAcrossTus) {
   EXPECT_EQ(pmc_lint::failing_count(fixed), 0u);
 }
 
-// ---- D9: cost-accounting completeness ---------------------------------------
-
-TEST(LintD9, FiresOnDiscardDeadRecordAndLiveClockPricing) {
-  const auto report = program_fixture({"d9_violation.cpp"});
-  const auto d9 = with_rule(report.diagnostics, "D9");
-  ASSERT_EQ(d9.size(), 3u);
-  EXPECT_NE(d9[0].message.find("result discarded"), std::string::npos);
-  EXPECT_NE(d9[1].message.find("'t0' but never used"), std::string::npos);
-  EXPECT_NE(d9[2].message.find("live now() read"), std::string::npos);
-  EXPECT_NE(d9[2].message.find("alpha-beta"), std::string::npos);
-}
-
-TEST(LintD9, SilentOnSanctionedBeginSendIdioms) {
-  const auto report = program_fixture({"d9_clean.cpp"});
-  EXPECT_TRUE(with_rule(report.diagnostics, "D9").empty());
-  EXPECT_EQ(pmc_lint::failing_count(report), 0u);
-}
-
-TEST(LintD9, SuppressionNeedsAJustification) {
-  const auto report = program_fixture({"d9_suppressed.cpp"});
-  const auto d9 = with_rule(report.diagnostics, "D9");
-  ASSERT_EQ(d9.size(), 2u);
-  EXPECT_TRUE(d9[0].suppressed);
-  EXPECT_EQ(d9[0].justification, "capacity probe, intentionally unpriced");
-  EXPECT_FALSE(d9[1].suppressed);
-}
-
-TEST(LintD9, ForwarderCallSitesInheritThePricingCheck) {
-  const std::vector<pmc_lint::SourceFile> srcs = {
-      {"src/runtime/relay.cpp",
-       "struct F {\n"
-       "  double now(int);\n"
-       "  void post_send_at(int, int, const char*, long, double);\n"
-       "};\n"
-       "void relay_at(F& fabric, int src, int dst, const char* payload,\n"
-       "              double send_time) {\n"
-       "  fabric.post_send_at(src, dst, payload, 1, send_time);\n"
-       "}\n"
-       "void caller(F& fabric, int src, int dst, const char* payload) {\n"
-       "  relay_at(fabric, src, dst, payload, fabric.now(src));\n"
-       "}\n"}};
-  const auto report = pmc_lint::analyze_program(srcs, {});
-  const auto d9 = with_rule(report.diagnostics, "D9");
-  ASSERT_EQ(d9.size(), 1u);
-  EXPECT_NE(d9[0].message.find("relay_at"), std::string::npos);
-  EXPECT_NE(d9[0].message.find("one helper deep"), std::string::npos);
-}
-
 // ---- D10: stale-suppression audit -------------------------------------------
 
 TEST(LintD10, FiresOnStaleAllowAndStaleSchemaAnnotation) {
@@ -467,7 +314,7 @@ TEST(LintD10, AuditCanBeTurnedOff) {
   EXPECT_TRUE(with_rule(report.diagnostics, "D10").empty());
 }
 
-// ---- D1-D7 propagation through helper indirection ---------------------------
+// ---- D1-D5 propagation through helper indirection ---------------------------
 
 TEST(LintPropagation, ScopeHiddenHelperTaintsLiveCallSitesOnly) {
   // The helper's own file (src/graph) is outside D1's scope, so the hash-
@@ -507,33 +354,6 @@ TEST(LintPropagation, ScopeHiddenHelperTaintsLiveCallSitesOnly) {
   EXPECT_NE(d1[0].message.find("scope hides"), std::string::npos);
 }
 
-TEST(LintPropagation, EventPathHelperTaintsEventHandlingCallers) {
-  // post_send hides in a file D6 does not police; the handler file that
-  // calls the helper (and really touches EventContext) inherits the hit.
-  const std::vector<pmc_lint::SourceFile> srcs = {
-      {"src/runtime/fabric_util.cpp",
-       "struct CommFabric { void post_send(int, int, long); };\n"
-       "namespace pmc {\n"
-       "void blast(CommFabric& fabric, int dst, long bytes) {\n"
-       "  fabric.post_send(0, dst, bytes);\n"
-       "}\n"
-       "}  // namespace pmc\n"},
-      {"src/matching/handler.cpp",
-       "struct CommFabric;\n"
-       "struct EventContext { int rank; };\n"
-       "namespace pmc {\n"
-       "void on_msg(EventContext& ctx, CommFabric& fab, int dst, long n) {\n"
-       "  blast(fab, dst, n);\n"
-       "}\n"
-       "}  // namespace pmc\n"}};
-  const auto report = pmc_lint::analyze_program(srcs, {});
-  const auto d6 = with_rule(report.diagnostics, "D6");
-  ASSERT_EQ(d6.size(), 1u);
-  EXPECT_EQ(d6[0].file, "src/matching/handler.cpp");
-  EXPECT_NE(d6[0].message.find("blast"), std::string::npos);
-  EXPECT_NE(d6[0].message.find("D6 violation"), std::string::npos);
-}
-
 // ---- SARIF ------------------------------------------------------------------
 
 TEST(LintSarif, WellFormedRunWithRulesSuppressionsAndLevels) {
@@ -541,11 +361,16 @@ TEST(LintSarif, WellFormedRunWithRulesSuppressionsAndLevels) {
   const std::string sarif = pmc_lint::to_sarif(report);
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
   EXPECT_NE(sarif.find("\"name\": \"pmc-lint\""), std::string::npos);
-  for (const char* id :
-       {"D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9", "D10"}) {
+  for (const char* id : {"D1", "D2", "D3", "D4", "D5", "D8", "D10"}) {
     EXPECT_NE(sarif.find(std::string("{\"id\": \"") + id + "\""),
               std::string::npos)
         << "rule " << id << " missing from the driver";
+  }
+  // Retired rules (now enforced by types) are no longer declared.
+  for (const char* id : {"D6", "D7", "D9"}) {
+    EXPECT_EQ(sarif.find(std::string("{\"id\": \"") + id + "\""),
+              std::string::npos)
+        << "retired rule " << id << " still declared";
   }
   // One justified suppression (note) and one unsuppressed finding (error).
   EXPECT_NE(sarif.find("\"kind\": \"inSource\""), std::string::npos);
@@ -555,7 +380,7 @@ TEST(LintSarif, WellFormedRunWithRulesSuppressionsAndLevels) {
 }
 
 TEST(LintSarif, BaselinedFindingsCarryBaselineState) {
-  auto report = program_fixture({"d9_violation.cpp"});
+  auto report = program_fixture({"d3_violation.cpp"});
   std::set<std::string> baseline;
   for (const auto& d : report.diagnostics) {
     baseline.insert(pmc_lint::fingerprint(d));
@@ -570,15 +395,15 @@ TEST(LintSarif, BaselinedFindingsCarryBaselineState) {
 // ---- baseline ratchet -------------------------------------------------------
 
 TEST(LintBaseline, WriteLoadRoundTripRatchetsTheRun) {
-  auto report = program_fixture({"d9_violation.cpp"});
-  ASSERT_EQ(pmc_lint::failing_count(report), 3u);
-  const std::string path = testing::TempDir() + "pmc_lint_baseline.txt";
+  auto report = program_fixture({"d2_violation.cpp"});
+  ASSERT_EQ(pmc_lint::failing_count(report), 5u);
+  const std::string path = pmc::test::unique_temp_path("pmc_lint_baseline.txt");
   {
     std::ofstream out(path, std::ios::binary);
     out << pmc_lint::write_baseline(report);
   }
   const auto baseline = pmc_lint::load_baseline(path);
-  EXPECT_EQ(baseline.size(), 3u);
+  EXPECT_EQ(baseline.size(), 5u);
   pmc_lint::apply_baseline(report, baseline);
   EXPECT_EQ(pmc_lint::failing_count(report), 0u);
   for (const auto& d : report.diagnostics) EXPECT_TRUE(d.baselined);
@@ -587,16 +412,16 @@ TEST(LintBaseline, WriteLoadRoundTripRatchetsTheRun) {
 
 TEST(LintBaseline, FingerprintNormalizesAbsoluteBuildPaths) {
   Diagnostic d;
-  d.rule = "D9";
+  d.rule = "D8";
   d.file = "/root/repo/src/matching/x.cpp";
   d.line = 7;
-  EXPECT_EQ(pmc_lint::fingerprint(d), "D9|src/matching/x.cpp|7");
+  EXPECT_EQ(pmc_lint::fingerprint(d), "D8|src/matching/x.cpp|7");
 }
 
 // ---- drivers ---------------------------------------------------------------
 
 TEST(LintDriver, CompileCommandsFilesParsesAndDeduplicates) {
-  const std::string path = testing::TempDir() + "pmc_lint_cc.json";
+  const std::string path = pmc::test::unique_temp_path("pmc_lint_cc.json");
   {
     std::ofstream out(path, std::ios::binary);
     out << R"([
@@ -616,7 +441,7 @@ TEST(LintDriver, CompileCommandsFilesParsesAndDeduplicates) {
 
 TEST(LintDriver, RelativeEntriesResolveAgainstDirectoryAndJsonParent) {
   namespace fs = std::filesystem;
-  const fs::path base = fs::path(testing::TempDir()) / "pmc_lint_cc_rel";
+  const fs::path base = pmc::test::unique_temp_path("pmc_lint_cc_rel");
   fs::create_directories(base / "bld");
   const std::string path = (base / "bld" / "compile_commands.json").string();
   {
@@ -641,8 +466,8 @@ TEST(LintDriver, RelativeEntriesResolveAgainstDirectoryAndJsonParent) {
 }
 
 TEST(LintDriver, MultiConfigSourcesDeduplicateAcrossDatabases) {
-  const std::string j1 = testing::TempDir() + "pmc_lint_cc1.json";
-  const std::string j2 = testing::TempDir() + "pmc_lint_cc2.json";
+  const std::string j1 = pmc::test::unique_temp_path("pmc_lint_cc1.json");
+  const std::string j2 = pmc::test::unique_temp_path("pmc_lint_cc2.json");
   {
     std::ofstream out(j1, std::ios::binary);
     out << R"([

@@ -2,6 +2,7 @@
 // paper uses (bipartite for matching, adjacency for coloring).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -9,6 +10,7 @@
 #include "graph/generators.hpp"
 #include "graph/matrix_market.hpp"
 #include "support/error.hpp"
+#include "test_util.hpp"
 
 namespace pmc {
 namespace {
@@ -85,7 +87,7 @@ TEST(MatrixMarket, SkipsBlankLinesBeforeSizeLine) {
 }
 
 TEST(MatrixMarket, SkipsBlankLinesInFile) {
-  const std::string path = ::testing::TempDir() + "/pmc_blank_lines.mtx";
+  const std::string path = test::unique_temp_path("pmc_blank_lines.mtx");
   {
     std::ofstream out(path);
     out << "%%MatrixMarket matrix coordinate pattern general\n"
@@ -97,6 +99,7 @@ TEST(MatrixMarket, SkipsBlankLinesInFile) {
         << "2 1\n";
   }
   const SparseMatrix m = read_matrix_market_file(path);
+  std::remove(path.c_str());
   EXPECT_EQ(m.rows, 2);
   EXPECT_EQ(m.num_entries(), 2);
 }

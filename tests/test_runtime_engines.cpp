@@ -2,6 +2,9 @@
 // asynchronous EventEngine and the superstep BspEngine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "runtime/bsp_engine.hpp"
 #include "runtime/event_engine.hpp"
 #include "runtime/machine_model.hpp"
@@ -266,16 +269,36 @@ TEST(EventEngine, SelfSendRejected) {
 
 // ---- bsp engine -----------------------------------------------------------------
 
+/// Runs one run_ranks() phase in which only rank r acts — the way driver
+/// code charges and sends on a single rank.
+void on_rank(BspEngine& engine, Rank r,
+             const std::function<void(BspEngine::RankCtx&)>& body) {
+  engine.run_ranks([&](BspEngine::RankCtx& ctx) {
+    if (ctx.rank() == r) body(ctx);
+  });
+}
+
 TEST(BspEngine, PollRespectsArrivalTimes) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  ByteWriter w;
-  w.put<int>(42);
-  engine.send(0, 1, w.take(), 1);
-  // Rank 1's clock is still 0 — the message has not "arrived" yet.
-  EXPECT_TRUE(engine.poll(1).empty());
-  // Advance rank 1 beyond the arrival time.
-  engine.charge(1, 1e9);
-  const auto msgs = engine.poll(1);
+  on_rank(engine, 0, [](BspEngine::RankCtx& ctx) {
+    ByteWriter w;
+    w.put<int>(42);
+    ctx.send(1, w.take(), 1);
+  });
+  // Rank 1's clock is still 0 — the message has not "arrived" yet. The
+  // poll is harvested at the entry clock, so the charge after it cannot
+  // pull the message into this superstep.
+  std::size_t early = 1;
+  engine.run_ranks_snapshot([&](BspEngine::RankCtx& ctx) {
+    if (ctx.rank() != 1) return;
+    early = ctx.poll().size();
+    ctx.charge(1e9);  // advance rank 1 beyond the arrival time
+  });
+  EXPECT_EQ(early, 0u);
+  std::vector<BspMessage> msgs;
+  engine.run_ranks_snapshot([&](BspEngine::RankCtx& ctx) {
+    if (ctx.rank() == 1) msgs = ctx.poll();
+  });
   ASSERT_EQ(msgs.size(), 1u);
   ByteReader r(msgs[0].payload);
   EXPECT_EQ(r.get<int>(), 42);
@@ -283,38 +306,43 @@ TEST(BspEngine, PollRespectsArrivalTimes) {
 
 TEST(BspEngine, BarrierDeliversEverything) {
   BspEngine engine(3, MachineModel::blue_gene_p());
-  engine.send(0, 2, std::vector<std::byte>(8), 1);
-  engine.send(1, 2, std::vector<std::byte>(8), 1);
+  engine.run_ranks([](BspEngine::RankCtx& ctx) {
+    if (ctx.rank() != 2) ctx.send(2, std::vector<std::byte>(8), 1);
+  });
   engine.barrier();
   EXPECT_EQ(engine.drain(2).size(), 2u);
   EXPECT_EQ(engine.comm().collectives, 1);
   // All clocks equal after a barrier.
-  EXPECT_DOUBLE_EQ(engine.now(0), engine.now(1));
-  EXPECT_DOUBLE_EQ(engine.now(1), engine.now(2));
+  EXPECT_DOUBLE_EQ(engine.fabric().now(0), engine.fabric().now(1));
+  EXPECT_DOUBLE_EQ(engine.fabric().now(1), engine.fabric().now(2));
 }
 
 TEST(BspEngine, BarrierAdvancesPastInFlightArrivals) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.charge(0, 1000.0);
-  engine.send(0, 1, std::vector<std::byte>(100), 1);
-  const double sender_time = engine.now(0);
+  on_rank(engine, 0, [](BspEngine::RankCtx& ctx) {
+    ctx.charge(1000.0);
+    ctx.send(1, std::vector<std::byte>(100), 1);
+  });
+  const double sender_time = engine.fabric().now(0);
   engine.barrier();
-  EXPECT_GT(engine.now(1), sender_time);
+  EXPECT_GT(engine.fabric().now(1), sender_time);
 }
 
 TEST(BspEngine, ChargeAccumulatesWork) {
   MachineModel m = MachineModel::zero_cost();
   m.seconds_per_work = 2.0;
   BspEngine engine(1, m);
-  engine.charge(0, 3.0);
-  EXPECT_DOUBLE_EQ(engine.now(0), 6.0);
+  on_rank(engine, 0, [](BspEngine::RankCtx& ctx) { ctx.charge(3.0); });
+  EXPECT_DOUBLE_EQ(engine.fabric().now(0), 6.0);
   EXPECT_DOUBLE_EQ(engine.time(), 6.0);
 }
 
 TEST(BspEngine, FifoWithinChannel) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.send(0, 1, std::vector<std::byte>(10000), 1);
-  engine.send(0, 1, std::vector<std::byte>(2), 1);
+  on_rank(engine, 0, [](BspEngine::RankCtx& ctx) {
+    ctx.send(1, std::vector<std::byte>(10000), 1);
+    ctx.send(1, std::vector<std::byte>(2), 1);
+  });
   engine.barrier();
   const auto msgs = engine.drain(1);
   ASSERT_EQ(msgs.size(), 2u);
@@ -324,8 +352,10 @@ TEST(BspEngine, FifoWithinChannel) {
 
 TEST(BspEngine, CommStatsCount) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.send(0, 1, std::vector<std::byte>(10), 3);
-  engine.send(1, 0, std::vector<std::byte>(20), 2);
+  engine.run_ranks([](BspEngine::RankCtx& ctx) {
+    if (ctx.rank() == 0) ctx.send(1, std::vector<std::byte>(10), 3);
+    if (ctx.rank() == 1) ctx.send(0, std::vector<std::byte>(20), 2);
+  });
   EXPECT_EQ(engine.comm().messages, 2);
   EXPECT_EQ(engine.comm().records, 5);
   EXPECT_GT(engine.comm().bytes, 30);
@@ -335,9 +365,10 @@ TEST(BspEngine, LoadStatsTrackChargedCompute) {
   MachineModel m = MachineModel::zero_cost();
   m.seconds_per_work = 1.0;
   BspEngine engine(3, m);
-  engine.charge(0, 1.0);
-  engine.charge(1, 2.0);
-  engine.charge(2, 6.0);
+  engine.run_ranks([](BspEngine::RankCtx& ctx) {
+    const double work[] = {1.0, 2.0, 6.0};
+    ctx.charge(work[ctx.rank()]);
+  });
   const LoadStats load = engine.load_stats();
   EXPECT_DOUBLE_EQ(load.min_seconds, 1.0);
   EXPECT_DOUBLE_EQ(load.max_seconds, 6.0);
@@ -347,7 +378,7 @@ TEST(BspEngine, LoadStatsTrackChargedCompute) {
 
 TEST(BspEngine, LoadStatsUnaffectedByBarriers) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.charge(0, 100.0);
+  on_rank(engine, 0, [](BspEngine::RankCtx& ctx) { ctx.charge(100.0); });
   engine.barrier();  // synchronizes clocks, not charged compute
   const LoadStats load = engine.load_stats();
   EXPECT_GT(load.max_seconds, 0.0);
@@ -356,14 +387,21 @@ TEST(BspEngine, LoadStatsUnaffectedByBarriers) {
 
 TEST(BspEngine, RejectsInvalidSends) {
   BspEngine engine(2, MachineModel::zero_cost());
-  EXPECT_THROW(engine.send(0, 0, {}, 0), Error);
-  EXPECT_THROW(engine.send(0, 5, {}, 0), Error);
+  // The fabric rejects the destination when the phase merges the send.
+  EXPECT_THROW(on_rank(engine, 0,
+                       [](BspEngine::RankCtx& ctx) { ctx.send(0, {}, 0); }),
+               Error);
+  EXPECT_THROW(on_rank(engine, 0,
+                       [](BspEngine::RankCtx& ctx) { ctx.send(5, {}, 0); }),
+               Error);
 }
 
 TEST(BspEngine, MessagesCarryRecordCounts) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.send(0, 1, std::vector<std::byte>(10), 3);
-  engine.send(0, 1, std::vector<std::byte>(20), 7);
+  on_rank(engine, 0, [](BspEngine::RankCtx& ctx) {
+    ctx.send(1, std::vector<std::byte>(10), 3);
+    ctx.send(1, std::vector<std::byte>(20), 7);
+  });
   engine.barrier();
   const auto msgs = engine.drain(1);
   ASSERT_EQ(msgs.size(), 2u);
@@ -378,9 +416,16 @@ TEST(BspEngine, PendingHorizonMatchesBruteForceScan) {
   BspEngine engine(4, MachineModel::blue_gene_p(),
                    FabricConfig{2e-6, 9, FaultConfig{}, TraceConfig{}});
   for (int i = 0; i < 6; ++i) {
-    engine.charge(i % 4, 50.0 * (i + 1));
-    engine.send(i % 4, (i + 1) % 4, std::vector<std::byte>(17 * (i + 1)), 1);
-    engine.send((i + 2) % 4, (i + 3) % 4, std::vector<std::byte>(5), 1);
+    engine.run_ranks([i](BspEngine::RankCtx& ctx) {
+      const Rank r = ctx.rank();
+      if (r == i % 4) {
+        ctx.charge(50.0 * (i + 1));
+        ctx.send((i + 1) % 4, std::vector<std::byte>(17 * (i + 1)), 1);
+      }
+      if (r == (i + 2) % 4) {
+        ctx.send((i + 3) % 4, std::vector<std::byte>(5), 1);
+      }
+    });
   }
   const double horizon = engine.pending_horizon();
   double brute = 0.0;
@@ -396,26 +441,32 @@ TEST(BspEngine, PendingHorizonMatchesBruteForceScan) {
 
 TEST(BspEngine, BarrierUsesThePendingHorizon) {
   BspEngine engine(3, MachineModel::blue_gene_p());
-  engine.charge(0, 1000.0);
-  engine.send(0, 2, std::vector<std::byte>(100), 1);
-  engine.send(1, 2, std::vector<std::byte>(8), 1);
+  engine.run_ranks([](BspEngine::RankCtx& ctx) {
+    if (ctx.rank() == 0) {
+      ctx.charge(1000.0);
+      ctx.send(2, std::vector<std::byte>(100), 1);
+    }
+    if (ctx.rank() == 1) ctx.send(2, std::vector<std::byte>(8), 1);
+  });
   const double expected =
       std::max(engine.time(), engine.pending_horizon()) +
-      engine.model().collective_seconds(3);
+      engine.fabric().model().collective_seconds(3);
   engine.barrier();
-  EXPECT_EQ(engine.now(0), expected);
-  EXPECT_EQ(engine.now(2), expected);
+  EXPECT_EQ(engine.fabric().now(0), expected);
+  EXPECT_EQ(engine.fabric().now(2), expected);
 }
 
 TEST(BspEngine, PollRequiresASnapshotPhase) {
   BspEngine engine(2, MachineModel::blue_gene_p());
   // Mid-superstep polling outside run_ranks_snapshot() is a contract
-  // violation in both run_ranks flavors.
-  EXPECT_THROW(engine.run_ranks(
-                   false, [](BspEngine::RankCtx& ctx) { (void)ctx.poll(); }),
-               Error);
-  EXPECT_THROW(engine.run_ranks(
-                   true, [](BspEngine::RankCtx& ctx) { (void)ctx.poll(); }),
+  // violation in every other phase flavor.
+  EXPECT_THROW(
+      engine.run_ranks([](BspEngine::RankCtx& ctx) { (void)ctx.poll(); }),
+      Error);
+  EXPECT_THROW(engine.exchange([](BspEngine::RankCtx& ctx,
+                                  std::vector<BspMessage>) {
+    (void)ctx.poll();
+  }),
                Error);
 }
 
@@ -435,7 +486,9 @@ TEST(BspEngine, SnapshotPollIsOneShotAndBeforeWork) {
 
 TEST(BspEngine, SnapshotPhaseDeliversArrivedMessages) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.send(0, 1, std::vector<std::byte>(16), 2);
+  on_rank(engine, 0, [](BspEngine::RankCtx& ctx) {
+    ctx.send(1, std::vector<std::byte>(16), 2);
+  });
   engine.barrier();  // equal clocks past the arrival; inbox still pending
   std::size_t seen = 0;
   std::int64_t records = 0;
@@ -445,7 +498,8 @@ TEST(BspEngine, SnapshotPhaseDeliversArrivedMessages) {
       records += msg.records;
     }
   });
-  // Equalized clocks always pass the safety check, so this ran deferred.
+  // Equalized clocks always pass the safety check, so this ran parallel-
+  // capable.
   EXPECT_EQ(engine.snapshot_parallel_phases(), 1);
   EXPECT_EQ(engine.snapshot_fallback_phases(), 0);
   EXPECT_EQ(seen, 1u);
@@ -455,7 +509,9 @@ TEST(BspEngine, SnapshotPhaseDeliversArrivedMessages) {
 
 TEST(BspEngine, SnapshotPhaseRestoresUnconsumedMessages) {
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.send(0, 1, std::vector<std::byte>(16), 2);
+  on_rank(engine, 0, [](BspEngine::RankCtx& ctx) {
+    ctx.send(1, std::vector<std::byte>(16), 2);
+  });
   engine.barrier();
   // The harvest pass pre-polls rank 1's inbox, but the callback never asks
   // for it — the message must go back to pending, not be lost.
@@ -468,11 +524,11 @@ TEST(BspEngine, SnapshotPhaseRestoresUnconsumedMessages) {
 
 TEST(BspEngine, SnapshotFallbackSeesSameSuperstepSends) {
   // Rank 1's clock is far ahead of rank 0's bound, so the safety check must
-  // refuse to parallelize — and the sequential fallback must preserve the
-  // historical semantics where rank 1's live poll sees rank 0's send from
-  // the *same* superstep.
+  // refuse to parallelize — and the rank-by-rank fallback must preserve the
+  // historical semantics where rank 1's poll sees rank 0's send from the
+  // *same* superstep.
   BspEngine engine(2, MachineModel::blue_gene_p());
-  engine.charge(1, 1e6);
+  on_rank(engine, 1, [](BspEngine::RankCtx& ctx) { ctx.charge(1e6); });
   std::size_t rank1_saw = 0;
   engine.run_ranks_snapshot([&](BspEngine::RankCtx& ctx) {
     if (ctx.rank() == 0) {

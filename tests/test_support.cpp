@@ -2,6 +2,7 @@
 // options.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <optional>
@@ -15,6 +16,7 @@
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
+#include "test_util.hpp"
 
 namespace pmc {
 namespace {
@@ -187,7 +189,7 @@ TEST(Csv, EscapesSpecialCharacters) {
 }
 
 TEST(Csv, WritesRowsToFile) {
-  const std::string path = ::testing::TempDir() + "/pmc_test.csv";
+  const std::string path = test::unique_temp_path("pmc_test.csv");
   {
     CsvWriter w(path);
     w.write_row({"a", "b,c"});
@@ -197,6 +199,7 @@ TEST(Csv, WritesRowsToFile) {
   std::string line1, line2;
   std::getline(in, line1);
   std::getline(in, line2);
+  std::remove(path.c_str());
   EXPECT_EQ(line1, "a,\"b,c\"");
   EXPECT_EQ(line2, "1,2");
 }

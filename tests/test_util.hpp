@@ -1,7 +1,11 @@
 // Shared helpers for the pmc test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <string>
 #include <tuple>
@@ -50,6 +54,19 @@ inline Weight brute_force_max_weight_matching(const Graph& g) {
   };
   recurse(recurse, 0, Weight{0});
   return best;
+}
+
+/// A fresh path under the test temp dir for `stem` ("name.ext"): the name
+/// is tagged with this process's pid and a per-process counter, so
+/// concurrent runs of the same binary (ctest --repeat, parallel CI stages)
+/// never share a file.
+inline std::string unique_temp_path(const std::string& stem) {
+  static std::atomic<unsigned> counter{0};
+  const std::string tag =
+      "_" + std::to_string(::getpid()) + "_" + std::to_string(counter++);
+  const std::size_t dot = stem.rfind('.');
+  const std::size_t cut = dot == std::string::npos ? stem.size() : dot;
+  return ::testing::TempDir() + stem.substr(0, cut) + tag + stem.substr(cut);
 }
 
 /// Pretty label for parameterized tests.

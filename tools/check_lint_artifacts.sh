@@ -3,8 +3,10 @@
 # check_bench_artifacts.sh counterpart for the lint stage.
 #
 # SARIF artifacts (*.sarif) must (a) parse as JSON, (b) be a SARIF 2.1.0
-# log with exactly one run whose tool driver is pmc-lint, (c) declare all
-# ten rules D1-D10, (d) give every result a known ruleId, a message, and a
+# log with exactly one run whose tool driver is pmc-lint, (c) declare
+# exactly the live rule set D1-D5, D8, D10 (the retired D6/D7/D9 are
+# enforced by types and compile-fail tests, so a driver still declaring
+# them is stale), (d) give every result a known ruleId, a message, and a
 # file:line location, and (e) contain no "error"-level result — an
 # unsuppressed or stale diagnostic in a committed artifact means the tree
 # and its lint ledger disagree. Suppressed findings must carry an inSource
@@ -32,7 +34,7 @@ python3 - "${artifacts[@]}" <<'EOF'
 import json
 import sys
 
-RULE_IDS = [f"D{i}" for i in range(1, 11)]
+RULE_IDS = ["D1", "D2", "D3", "D4", "D5", "D8", "D10"]
 failures = 0
 
 
@@ -66,6 +68,10 @@ def check_sarif(path, doc):
     missing = [r for r in RULE_IDS if r not in declared]
     if missing:
         fail(path, f"driver missing rule(s): {', '.join(missing)}")
+    extra = sorted(r for r in declared if r not in RULE_IDS)
+    if extra:
+        fail(path, f"driver declares retired/unknown rule(s): "
+                   f"{', '.join(map(str, extra))}")
     results = run.get("results")
     if not isinstance(results, list):
         fail(path, "'results' must be a list (empty is fine)")

@@ -3,10 +3,7 @@
 //   D8  encode/decode schema symmetry — per message kind (or per named
 //       schema() binding), every encoder's put_* record sequence and every
 //       decoder's read_* sequence must agree in type and order.
-//   D9  cost-accounting completeness — begin_send results must be recorded
-//       or forwarded, and post_send_at must be priced at a begin_send-
-//       derived time, so no send is invisible to CommStats / the α–β model.
-//   D1-D7 helper propagation — a helper whose own file hides a banned core
+//   D1-D5 helper propagation — a helper whose own file hides a banned core
 //       pattern from the rule's scope taints every call site where the
 //       rule is live (one level deep).
 //   D10 stale-suppression audit — allow()/schema() comments that match
@@ -319,96 +316,6 @@ FnSchemas extract_schemas(const ProgramIndex& idx, std::size_t file_idx,
   return out;
 }
 
-// ---- D9: cost accounting ---------------------------------------------------
-
-/// Walks a member-call chain backwards from the call's name token; returns
-/// the index of the chain's first token (`engine_->fabric_.begin_send` ->
-/// the `engine_` token).
-std::size_t chain_start(const std::vector<Token>& toks, std::size_t i,
-                        std::size_t floor) {
-  std::size_t p = i;
-  while (p >= floor + 2 &&
-         (toks[p - 1].text == "." || toks[p - 1].text == "->")) {
-    if (toks[p - 2].is_ident) {
-      p -= 2;
-    } else if (toks[p - 2].text == ")") {
-      // Chain through a call: lane().begin_send(...).
-      int depth = 0;
-      std::size_t q = p - 2;
-      while (q > floor) {
-        if (toks[q].text == ")") ++depth;
-        if (toks[q].text == "(" && --depth == 0) break;
-        --q;
-      }
-      if (q > floor && toks[q - 1].is_ident) {
-        p = q - 1;
-      } else {
-        return q;
-      }
-    } else {
-      break;
-    }
-  }
-  return p;
-}
-
-/// Top-level comma split of a call's argument list; returns token spans.
-std::vector<std::pair<std::size_t, std::size_t>> split_args(
-    const std::vector<Token>& toks, std::size_t open) {
-  std::vector<std::pair<std::size_t, std::size_t>> spans;
-  const std::size_t close = match_paren_fwd(toks, open);
-  if (close >= toks.size() || close == open + 1) return spans;
-  int depth = 0;
-  std::size_t b = open + 1;
-  for (std::size_t i = open; i <= close; ++i) {
-    const std::string& t = toks[i].text;
-    if (t == "(" || t == "[" || t == "{") ++depth;
-    if (t == ")" || t == "]" || t == "}") --depth;
-    if ((t == "," && depth == 1) || (i == close && depth == 0)) {
-      spans.emplace_back(b, i);
-      b = i + 1;
-    }
-  }
-  return spans;
-}
-
-struct CostCtx {
-  std::set<std::string> send_time_vars;
-  const FunctionInfo* fn = nullptr;
-};
-
-bool contains_time_ident(const std::string& s) {
-  return s.find("time") != std::string::npos ||
-         s.find("Time") != std::string::npos;
-}
-
-/// Is the token span a begin_send-derived time? Accepts recorded *time*
-/// fields/parameters/locals, variables assigned from begin_send, and a
-/// direct begin_send call.
-bool time_arg_ok(const std::vector<Token>& toks, std::size_t b, std::size_t e,
-                 const CostCtx& ctx, bool* has_now) {
-  bool ok = false;
-  for (std::size_t i = b; i < e; ++i) {
-    const Token& t = toks[i];
-    if (!t.is_ident) continue;
-    if (t.text == "now" && at(toks, i + 1).text == "(") {
-      if (has_now != nullptr) *has_now = true;
-      continue;
-    }
-    if (t.text == "begin_send") ok = true;
-    if (ctx.send_time_vars.count(t.text) != 0) ok = true;
-    if (contains_time_ident(t.text)) ok = true;
-  }
-  return ok;
-}
-
-/// Helpers that price a send at one of their own *time* parameters; the
-/// call-site argument in that position inherits the D9 check.
-struct Forwarder {
-  std::size_t param_index = 0;
-  std::string param_name;
-};
-
 }  // namespace
 
 // ---- the whole pass --------------------------------------------------------
@@ -420,7 +327,6 @@ struct GlobalPass {
   const ProgramOptions& opts;
   std::vector<Diagnostic>& diags;
   std::vector<RuleScope> scopes;
-  std::vector<bool> mentions_ec, mentions_rc;
   /// (file path, line) of schema() comments that bound a live function.
   std::set<std::pair<std::string, int>> used_schemas;
 
@@ -428,16 +334,8 @@ struct GlobalPass {
              std::vector<Diagnostic>& d)
       : index(idx), opts(o), diags(d) {
     scopes.reserve(index.files.size());
-    mentions_ec.resize(index.files.size(), false);
-    mentions_rc.resize(index.files.size(), false);
-    for (std::size_t f = 0; f < index.files.size(); ++f) {
-      scopes.push_back(opts.all_rules ? all_rules()
-                                      : scope_for_path(index.files[f].path));
-      for (const Token& t : index.files[f].tokens) {
-        if (!t.is_ident) continue;
-        if (t.text == "EventContext") mentions_ec[f] = true;
-        if (t.text == "RankCtx") mentions_rc[f] = true;
-      }
+    for (const FileIndex& fi : index.files) {
+      scopes.push_back(opts.all_rules ? all_rules() : scope_for_path(fi.path));
     }
   }
 
@@ -523,168 +421,12 @@ struct GlobalPass {
     }
   }
 
-  // ---- D9 ------------------------------------------------------------------
-
-  std::map<std::string, Forwarder> forwarders;
-
-  CostCtx cost_ctx(std::size_t f, const FunctionInfo& fn) {
-    const std::vector<Token>& toks = index.files[f].tokens;
-    CostCtx ctx;
-    ctx.fn = &fn;
-    for (std::size_t i = fn.body_begin; i < fn.body_end; ++i) {
-      if (toks[i].text != "begin_send" || !is_member_call(toks, i)) continue;
-      const std::size_t start = chain_start(toks, i, fn.body_begin);
-      const std::string& before =
-          start > fn.body_begin ? toks[start - 1].text : std::string("{");
-      if (before != "=") continue;
-      // LHS of the assignment: a plain variable records the send time.
-      bool field = false;
-      for (std::size_t j = start - 2; j > fn.body_begin; --j) {
-        const std::string& u = toks[j].text;
-        if (u == ";" || u == "{" || u == "}") break;
-        if (u == "." || u == "->") field = true;
-      }
-      if (!field && start >= 2 && toks[start - 2].is_ident) {
-        ctx.send_time_vars.insert(toks[start - 2].text);
-      }
-    }
-    return ctx;
-  }
-
-  void find_forwarders() {
-    for (std::size_t f = 0; f < index.files.size(); ++f) {
-      if (!scopes[f].d9) continue;
-      const std::vector<Token>& toks = index.files[f].tokens;
-      for (const FunctionInfo& fn : index.files[f].functions) {
-        for (std::size_t i = fn.body_begin; i < fn.body_end; ++i) {
-          if (toks[i].text != "post_send_at" || !toks[i].is_ident ||
-              at(toks, i + 1).text != "(") {
-            continue;
-          }
-          const auto args = split_args(toks, i + 1);
-          if (args.size() < 5) continue;
-          for (std::size_t p = 0; p < fn.params.size(); ++p) {
-            if (!contains_time_ident(fn.params[p])) continue;
-            for (std::size_t k = args[4].first; k < args[4].second; ++k) {
-              const std::string& prev =
-                  k > 0 ? toks[k - 1].text : std::string();
-              if (toks[k].is_ident && toks[k].text == fn.params[p] &&
-                  prev != "." && prev != "->") {
-                forwarders.emplace(fn.name, Forwarder{p, fn.params[p]});
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-
-  void check_cost_accounting() {
-    find_forwarders();
-    for (std::size_t f = 0; f < index.files.size(); ++f) {
-      if (!scopes[f].d9) continue;
-      const std::vector<Token>& toks = index.files[f].tokens;
-      for (const FunctionInfo& fn : index.files[f].functions) {
-        const CostCtx ctx = cost_ctx(f, fn);
-        for (std::size_t i = fn.body_begin; i < fn.body_end; ++i) {
-          if (!toks[i].is_ident) continue;
-
-          // begin_send result hygiene.
-          if (toks[i].text == "begin_send" && is_member_call(toks, i)) {
-            const std::size_t start = chain_start(toks, i, fn.body_begin);
-            const std::string& before =
-                start > fn.body_begin ? toks[start - 1].text
-                                      : std::string("{");
-            if (before == "return" || before == "?" || before == ":" ||
-                before == "(" || before == ",") {
-              continue;  // forwarded or consumed directly
-            }
-            if (before == "=") {
-              // Field stores are the deferred-record idiom; a plain local
-              // must reach a later use or the send time is lost.
-              bool field = false;
-              for (std::size_t j = start - 2; j > fn.body_begin; --j) {
-                const std::string& u = toks[j].text;
-                if (u == ";" || u == "{" || u == "}") break;
-                if (u == "." || u == "->") field = true;
-              }
-              if (field) continue;
-              if (start < 2 || !toks[start - 2].is_ident) continue;
-              const std::string var = toks[start - 2].text;
-              const std::size_t after = match_paren_fwd(toks, i + 1);
-              bool used = false;
-              for (std::size_t j = after + 1; j < fn.body_end; ++j) {
-                if (toks[j].is_ident && toks[j].text == var) {
-                  used = true;
-                  break;
-                }
-              }
-              if (!used) {
-                emit("D9", f, toks[i].line,
-                     "send time from begin_send() recorded in '" + var +
-                         "' but never used — the overhead charge is paid "
-                         "but the send it priced can never be posted at "
-                         "that time (cost model drift)");
-              }
-              continue;
-            }
-            emit("D9", f, toks[i].line,
-                 "begin_send() result discarded in '" + fn.qualified +
-                     "' — the sender-side overhead is charged but the "
-                     "returned send time is lost, so the matching "
-                     "post_send_at cannot be priced correctly");
-            continue;
-          }
-
-          // post_send_at must be priced at a begin_send-derived time.
-          if (toks[i].text == "post_send_at" &&
-              at(toks, i + 1).text == "(") {
-            const auto args = split_args(toks, i + 1);
-            if (args.size() < 5) continue;
-            bool has_now = false;
-            if (!time_arg_ok(toks, args[4].first, args[4].second, ctx,
-                             &has_now)) {
-              emit("D9", f, toks[i].line,
-                   std::string("post_send_at in '") + fn.qualified +
-                       "' priced at " +
-                       (has_now ? "a live now() read"
-                                : "a value not derived from begin_send()") +
-                       " — the send bypasses the recorded send-time "
-                       "discipline and is invisible to the alpha-beta "
-                       "cost model's sender-overhead accounting");
-            }
-            continue;
-          }
-
-          // Calls to time-forwarding helpers inherit the pricing check.
-          const auto fw = forwarders.find(toks[i].text);
-          if (fw != forwarders.end() && at(toks, i + 1).text == "(" &&
-              !is_member_call(toks, i) && toks[i].text != fn.name) {
-            const auto args = split_args(toks, i + 1);
-            if (args.size() <= fw->second.param_index) continue;
-            const auto& span = args[fw->second.param_index];
-            bool has_now = false;
-            if (!time_arg_ok(toks, span.first, span.second, ctx, &has_now)) {
-              emit("D9", f, toks[i].line,
-                   "'" + toks[i].text + "' prices a send at its '" +
-                       fw->second.param_name + "' parameter; this call " +
-                       (has_now ? "passes a live now() read"
-                                : "passes a value not derived from "
-                                  "begin_send()") +
-                       " — an uncharged send one helper deep");
-            }
-          }
-        }
-      }
-    }
-  }
-
-  // ---- D1-D7 helper propagation -------------------------------------------
+  // ---- D1-D5 helper propagation -------------------------------------------
 
   void propagate_file_rules(const std::set<std::string>& direct_keys) {
     // Taints: unsuppressed core-pattern hits that the helper's own file
-    // scope (path predicate or content gate) hides. D4 is scope-global and
-    // decode-local, so it never taints.
+    // scope (path predicate) hides. D4 is scope-global and decode-local, so
+    // it never taints.
     struct Taint {
       std::set<std::string> rules;
       std::map<std::string, std::pair<int, std::string>> exemplar;
@@ -692,12 +434,11 @@ struct GlobalPass {
     std::map<const FunctionInfo*, Taint> taints;
     RuleScope everything;
     everything.d1 = everything.d2 = everything.d3 = everything.d5 = true;
-    everything.d6 = everything.d7 = true;
     everything.d4 = false;
     for (std::size_t f = 0; f < index.files.size(); ++f) {
       const FileIndex& fi = index.files[f];
-      const std::vector<Diagnostic> potential = file_rules(
-          fi.path, fi.view, fi.tokens, everything, /*content_gates=*/false);
+      const std::vector<Diagnostic> potential =
+          file_rules(fi.path, fi.view, fi.tokens, everything);
       for (const Diagnostic& d : potential) {
         if (d.suppressed) continue;
         const std::string key =
@@ -721,8 +462,6 @@ struct GlobalPass {
       if (r == "D2") return s.d2;
       if (r == "D3") return s.d3;
       if (r == "D5") return s.d5;
-      if (r == "D6") return s.d6 && mentions_ec[f];
-      if (r == "D7") return s.d7 && mentions_rc[f];
       return false;
     };
 
@@ -810,7 +549,6 @@ void global_rules(const ProgramIndex& index, const ProgramOptions& opts,
     direct_keys.insert(d.rule + "|" + d.file + "|" + std::to_string(d.line));
   }
   pass.check_schemas();
-  pass.check_cost_accounting();
   pass.propagate_file_rules(direct_keys);
   if (opts.audit_suppressions) pass.audit_suppressions();
 }
@@ -827,7 +565,7 @@ ProgramReport analyze_program(const std::vector<SourceFile>& sources,
     const RuleScope scope =
         opts.all_rules ? all_rules() : scope_for_path(fi.path);
     std::vector<Diagnostic> diags = internal::file_rules(
-        fi.path, fi.view, fi.tokens, scope, /*content_gates=*/true);
+        fi.path, fi.view, fi.tokens, scope);
     for (Diagnostic& d : diags) {
       report.diagnostics.push_back(std::move(d));
     }
@@ -880,14 +618,8 @@ constexpr SarifRule kSarifRules[] = {
     {"D4", "Every FrameReader/ByteReader decode loop must check done()."},
     {"D5", "No floating-point accumulation under an unordered-container "
            "iteration."},
-    {"D6", "No direct post_send in event-path code; use EventContext::send "
-           "or begin_send()+post_send_at()."},
-    {"D7", "No raw mid-superstep poll(rank) in BSP driver code; use "
-           "RankCtx::poll() in a snapshot phase."},
     {"D8", "Encoder put_* and decoder read_* sequences must mirror each "
            "other per message kind (cross-TU)."},
-    {"D9", "Every send must be priced at a begin_send-derived time so the "
-           "alpha-beta cost model sees it."},
     {"D10", "allow()/schema() comments that no longer match anything are "
             "stale and fail the build."},
 };

@@ -52,44 +52,6 @@ std::size_t match_brace(const Cursor& c, std::size_t open) {
   return c.toks.size();
 }
 
-/// Parameter names out of the list spanning (open, close): the last
-/// identifier of each top-level comma segment, default arguments excluded.
-std::vector<std::string> param_names(const Cursor& c, std::size_t open,
-                                     std::size_t close) {
-  std::vector<std::string> names;
-  int paren = 0, angle = 0, brace = 0;
-  std::string last_ident;
-  bool in_default = false;
-  for (std::size_t i = open + 1; i < close; ++i) {
-    const Token& t = c.toks[i];
-    if (t.text == "(") ++paren;
-    if (t.text == ")") --paren;
-    if (t.text == "<") ++angle;
-    if (t.text == ">") --angle;
-    if (t.text == "{") ++brace;
-    if (t.text == "}") --brace;
-    if (paren == 0 && angle == 0 && brace == 0) {
-      if (t.text == ",") {
-        names.push_back(last_ident);
-        last_ident.clear();
-        in_default = false;
-        continue;
-      }
-      if (t.text == "=") {
-        in_default = true;
-        continue;
-      }
-    }
-    if (t.is_ident && !in_default) last_ident = t.text;
-  }
-  if (!last_ident.empty() || !names.empty()) names.push_back(last_ident);
-  // An empty or `void` list has no names worth keeping.
-  while (!names.empty() && (names.back().empty() || names.back() == "void")) {
-    names.pop_back();
-  }
-  return names;
-}
-
 /// After the parameter list of a would-be definition: skips qualifiers,
 /// trailing return types, and constructor init lists. Returns the index of
 /// the body's '{', or 0 when this is a declaration / not a definition.
@@ -224,7 +186,6 @@ void collect_functions(const Cursor& c, FileIndex& fi) {
     fn.header_begin = i;
     fn.body_begin = body_open + 1;
     fn.body_end = body_close;
-    fn.params = param_names(c, i + 1, after_params - 1);
     fi.functions.push_back(std::move(fn));
     i = body_close;  // lambdas and local classes belong to this function
   }

@@ -13,8 +13,8 @@
 //
 // v2 runs in two passes. Pass 1 indexes every function definition in the
 // scanned sources (name, file:line, calls made, typed-accessor sequences,
-// message-kind constants). Pass 2 runs the per-file rules D1-D7, then the
-// whole-program rules D8-D10 over the index, and finally lets D1-D7
+// message-kind constants). Pass 2 runs the per-file rules D1-D5, then the
+// whole-program rules D8 and D10 over the index, and finally lets D1-D5
 // propagate through one level of helper indirection via the call graph
 // (a helper whose own file hides a banned pattern from its scope taints
 // every call site where the rule is live).
@@ -37,22 +37,6 @@
 //   D5  no float/double accumulation inside an unordered-container
 //       range-iteration anywhere in src/ — FP addition is order-sensitive,
 //       so a hash-order reduction is silently nondeterministic.
-//   D6  no direct CommFabric::post_send in event-path code (the event
-//       engine and any file handling an EventContext: src/matching,
-//       src/coloring). post_send reads and advances the live sender clock,
-//       which a windowed parallel dispatch cannot replay — sends must route
-//       through EventContext::send / the Lane deferred API, or through
-//       begin_send() + post_send_at() on the merge path. Files that never
-//       mention EventContext (the BSP engine's direct superstep path) are
-//       out of scope.
-//   D7  no raw mid-superstep inbox harvest in BSP driver code (src/matching,
-//       src/coloring, src/runtime, excluding the engine itself): calling
-//       BspEngine::poll(rank) — any member poll() with arguments — from a
-//       superstep body reads the live inbox, which the snapshot-harvest
-//       parallel path cannot replay. Drivers must use RankCtx::poll() (no
-//       arguments) inside a run_ranks_snapshot phase, where the engine
-//       resolves deliveries sequentially before compute fans out. Files
-//       that never mention RankCtx are out of scope.
 //   D8  encode/decode schema symmetry (cross-TU, src/ minus serialize.*):
 //       for each message kind, every decoder's typed read_* sequence must
 //       mirror every encoder's put_* sequence in type and order. Message
@@ -61,13 +45,8 @@
 //       accessor sequences are not tied to a kind bind to a named schema
 //       with `// pmc-lint: schema(Name)` and are checked against every
 //       other function bound to the same name.
-//   D9  cost-accounting completeness (src/ minus runtime/fabric.*, the
-//       sanctioned charging layer): a begin_send() result must be returned,
-//       recorded in a field, passed on, or reach a later use — and every
-//       post_send_at() must be priced at a begin_send-derived time (a
-//       recorded *time* field/parameter), never at a live now() read or a
-//       constant. Violations are sends the CommStats/α–β cost model never
-//       sees.
+//   D6, D7, D9 are reserved: the runtime's types enforce those invariants
+//       now (DESIGN.md §7, tests/compile_fail/).
 //   D10 stale-suppression audit (whole run): an allow() comment that no
 //       longer suppresses any diagnostic — and a schema() annotation bound
 //       to a function with no accessor calls — fails the build, keeping the
@@ -106,10 +85,7 @@ struct RuleScope {
   bool d3 = false;  ///< Everything except serialize.*.
   bool d4 = true;   ///< Decoder hygiene applies everywhere.
   bool d5 = false;  ///< All of src/.
-  bool d6 = false;  ///< Event-path code (event engine, matching, coloring).
-  bool d7 = false;  ///< BSP driver code (matching/coloring/runtime sans engine).
   bool d8 = false;  ///< Protocol schema symmetry (src/ sans serialize.*).
-  bool d9 = false;  ///< Cost-accounting completeness (src/ sans fabric.*).
 };
 
 /// Scope for a path as the CI lint run uses it: `path` is normalized to the
@@ -120,9 +96,9 @@ struct RuleScope {
 /// can be exercised regardless of where the fixture file lives.
 [[nodiscard]] RuleScope all_rules();
 
-/// Runs every in-scope *per-file* rule (D1-D7) over one file's contents.
+/// Runs every in-scope *per-file* rule (D1-D5) over one file's contents.
 /// `path` is used for diagnostics only; scoping is the caller's job
-/// (scope_for_path). The cross-TU rules D8-D10 and helper propagation need
+/// (scope_for_path). The cross-TU rules D8/D10 and helper propagation need
 /// the whole-program view: use analyze_program.
 [[nodiscard]] std::vector<Diagnostic> analyze_source(
     const std::string& path, const std::string& contents,
@@ -158,8 +134,8 @@ struct ProgramReport {
 };
 
 /// The two-pass analysis: per-file rules, then the cross-TU rules over the
-/// whole-program index (D8 schema symmetry, D9 cost accounting, one-level
-/// helper propagation for D1-D7), then the D10 suppression audit.
+/// whole-program index (D8 schema symmetry, one-level helper propagation
+/// for D1-D5), then the D10 suppression audit.
 [[nodiscard]] ProgramReport analyze_program(
     const std::vector<SourceFile>& sources, const ProgramOptions& opts);
 

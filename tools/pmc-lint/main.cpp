@@ -14,7 +14,7 @@
 // are linted as given; --all-rules overrides the path-based scoping (the
 // fixture suite's mode).
 //
-// Every run is whole-program: the cross-TU rules D8/D9 and the D10
+// Every run is whole-program: the cross-TU rule D8 and the D10
 // stale-suppression audit see all inputs at once (--no-suppression-audit
 // turns D10 off). --baseline ratchets: findings listed in the baseline
 // file are reported but do not fail the run; --write-baseline freezes the

@@ -30,6 +30,13 @@ tier1() {
   # The codec ablation self-checks: identical results under both codecs,
   # compact payload <= fixed payload per row, and >= 30% total reduction.
   ./build/bench/bench_ablation_codec --json=build/BENCH_codec.json
+  # Host-memory gate: per-rank send staging must grow with a rank's
+  # neighbours, not with the rank count. With neighbour-keyed staging this
+  # 16,384-rank run peaks at 164 MB in 1.5 s (4-vCPU Xeon VM); with one
+  # writer per rank pair it peaked at 12.4 GB in 23.7 s. Under the 2 GB
+  # address-space cap a P^2 regression fails here with bad_alloc instead of
+  # slowly eating the machine's memory.
+  prlimit --as=2000000000 ./build/bench/bench_fig_5_2 --grid=512 --ranks=16384
   # Committed BENCH_*.json baselines must stay well-formed and keep each
   # workload's modelled time bit-identical across the thread sweep.
   ./tools/check_bench_artifacts.sh

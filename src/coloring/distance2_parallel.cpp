@@ -117,7 +117,7 @@ struct D2RankState {
   std::vector<VertexId> colored_d2_boundary;
   ColorChooser chooser{ColorStrategy::kFirstFit};
   /// Per-rank staging (isolated so rank callbacks can run concurrently).
-  FanoutStage stage{0};
+  FanoutStage stage;
 };
 
 // pmc-lint: schema(ColorRecord)
@@ -182,15 +182,22 @@ DistColoringResult color_distance2_distributed_native(
     std::iota(st.to_color.begin(), st.to_color.end(), VertexId{0});
     // Two-hop recipients are precomputed per vertex, so the distance-2
     // flush always uses the neighbor-customized policy (the paper's NEW
-    // mode).
-    st.stage = FanoutStage(P, options.codec);
+    // mode) and stages only for the union of those recipients.
+    std::vector<Rank> dests;
+    for (const auto& recipients : st.view->recipients) {
+      dests.insert(dests.end(), recipients.begin(), recipients.end());
+    }
+    std::sort(dests.begin(), dests.end());
+    dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
+    st.stage = FanoutStage(P, std::move(dests), options.codec);
   }
 
   DistColoringResult result;
   // Global ids whose color announcement was dropped this round, per sending
   // rank; the conflict phase resets and re-enters them (same recovery as the
-  // distance-1 coloring). Receipt callbacks fire on the main thread in both
-  // execution modes, so no locking is needed.
+  // distance-1 coloring). Receipt callbacks fire on the main thread at the
+  // rank-ordered merge that replays each rank's lane, so no locking is
+  // needed.
   std::vector<std::unordered_set<VertexId>> lost(static_cast<std::size_t>(P));
   const auto send_from = [&lost, faults_on](BspEngine::RankCtx& ctx) {
     return [&lost, faults_on, &ctx](Rank dst, std::vector<std::byte> payload,

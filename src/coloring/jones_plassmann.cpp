@@ -17,9 +17,12 @@ struct JpRankState {
   const LocalGraph* lg = nullptr;
   std::vector<Color> color;          // owned + ghost, local ids
   std::vector<VertexId> uncolored;   // owned, shrinking frontier
-  std::vector<std::vector<Rank>> adj_ranks;  // per boundary vertex
+  // Per boundary vertex, the positions in lg->neighbor_ranks() of the ranks
+  // owning its neighbors (sorted, unique).
+  std::vector<std::vector<std::size_t>> adj_slots;
   ColorChooser chooser{ColorStrategy::kFirstFit};
-  // Per-rank send scratch (isolated so rank callbacks can run concurrently).
+  // Per-rank send scratch, parallel to lg->neighbor_ranks() (isolated so
+  // rank callbacks can run concurrently).
   std::vector<FrameWriter> dest_payload;
 };
 
@@ -37,21 +40,24 @@ JonesPlassmannResult color_jones_plassmann(
     JpRankState& st = states[static_cast<std::size_t>(r)];
     const LocalGraph& lg = dist.local(r);
     st.lg = &lg;
-    st.dest_payload.assign(static_cast<std::size_t>(P),
-                           FrameWriter(options.codec));
+    const std::vector<Rank>& nbrs = lg.neighbor_ranks();
+    st.dest_payload.assign(nbrs.size(), FrameWriter(options.codec));
     st.color.assign(static_cast<std::size_t>(lg.num_local()), kNoColor);
     st.uncolored.resize(static_cast<std::size_t>(lg.num_owned()));
     for (VertexId v = 0; v < lg.num_owned(); ++v) {
       st.uncolored[static_cast<std::size_t>(v)] = v;
     }
-    st.adj_ranks.assign(static_cast<std::size_t>(lg.num_owned()), {});
+    st.adj_slots.assign(static_cast<std::size_t>(lg.num_owned()), {});
     for (VertexId v : lg.boundary_vertices()) {
-      auto& ranks = st.adj_ranks[static_cast<std::size_t>(v)];
+      auto& slots = st.adj_slots[static_cast<std::size_t>(v)];
       for (VertexId u : lg.neighbors(v)) {
-        if (lg.is_ghost(u)) ranks.push_back(lg.ghost_owner(u));
+        if (!lg.is_ghost(u)) continue;
+        const auto it =
+            std::lower_bound(nbrs.begin(), nbrs.end(), lg.ghost_owner(u));
+        slots.push_back(static_cast<std::size_t>(it - nbrs.begin()));
       }
-      std::sort(ranks.begin(), ranks.end());
-      ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+      std::sort(slots.begin(), slots.end());
+      slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
     }
   }
 
@@ -73,7 +79,6 @@ JonesPlassmannResult color_jones_plassmann(
       JpRankState& st = states[static_cast<std::size_t>(r)];
       const LocalGraph& lg = *st.lg;
       auto& dest_payload = st.dest_payload;
-      std::vector<Rank> touched;
       std::vector<VertexId> still_uncolored;
       still_uncolored.reserve(st.uncolored.size());
       for (const VertexId v : st.uncolored) {
@@ -101,9 +106,9 @@ JonesPlassmannResult color_jones_plassmann(
         const Color c = st.chooser.choose(nullptr);
         st.color[static_cast<std::size_t>(v)] = c;
         if (lg.is_boundary(v)) {
-          for (Rank dst : st.adj_ranks[static_cast<std::size_t>(v)]) {
-            auto& w = dest_payload[static_cast<std::size_t>(dst)];
-            if (w.empty()) touched.push_back(dst);
+          for (const std::size_t slot :
+               st.adj_slots[static_cast<std::size_t>(v)]) {
+            auto& w = dest_payload[slot];
             w.begin_record();
             w.put_id(gv);
             w.put_color(c);
@@ -111,13 +116,12 @@ JonesPlassmannResult color_jones_plassmann(
         }
       }
       st.uncolored = std::move(still_uncolored);
-      std::sort(touched.begin(), touched.end());
-      touched.erase(std::unique(touched.begin(), touched.end()),
-                    touched.end());
-      for (Rank dst : touched) {
-        auto& w = dest_payload[static_cast<std::size_t>(dst)];
+      // Slots follow the sorted neighbor ranks: flush in ascending rank.
+      for (std::size_t slot = 0; slot < dest_payload.size(); ++slot) {
+        auto& w = dest_payload[slot];
+        if (w.empty()) continue;
         const std::int64_t records = w.records();
-        ctx.send(dst, w.take(), records);
+        ctx.send(lg.neighbor_ranks()[slot], w.take(), records);
       }
     });
     // Round barrier + ghost color application.

@@ -64,11 +64,10 @@ struct DistColoringOptions {
   FaultConfig faults;
   /// Instrumentation options (optional JSONL trace sink).
   TraceConfig trace;
-  /// Execution backend: with exec.threads > 1 the parallel-safe phases
-  /// (synchronous-superstep compute, post-barrier drains, conflict
-  /// detection) run the rank callbacks on a thread pool, bit-identically to
-  /// sequential execution. Asynchronous supersteps poll mid-superstep and
-  /// always run sequentially.
+  /// Execution backend: with exec.threads > 1 the rank callbacks run on a
+  /// thread pool, bit-identically to sequential execution. Asynchronous
+  /// supersteps poll mid-superstep, so they run concurrently only when their
+  /// polls can be harvested up front (see snapshot_parallel_supersteps).
   ExecConfig exec;
 
   /// FIAB preset: broadcast-based, superstep ~100 (paper: best for
@@ -90,9 +89,10 @@ struct DistColoringResult {
   /// Vertices re-entered into repair because their color announcement was
   /// dropped by the fault layer (0 when faults are disabled).
   std::int64_t fault_reentries = 0;
-  /// Asynchronous supersteps that ran deferred (parallel-capable snapshot
-  /// harvest) vs. the sequential live-poll fallback; both 0 in sync mode.
-  /// Pure functions of the modelled clocks, identical at every thread count.
+  /// Asynchronous supersteps whose polls were all harvested up front (the
+  /// ranks' lanes may run concurrently) vs. the fallback that harvests, runs
+  /// and merges one rank's lane at a time; both 0 in sync mode. Pure
+  /// functions of the modelled clocks, identical at every thread count.
   std::int64_t snapshot_parallel_supersteps = 0;
   std::int64_t snapshot_fallback_supersteps = 0;
 };

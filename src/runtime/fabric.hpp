@@ -14,9 +14,10 @@
 //     §3.3 "aggressive message bundling") with eager, bundled, and
 //     flush-on-threshold modes. Eager mode is the unbundled ablation
 //     baseline: every record travels as its own message.
-//   * FanoutStage — per-source staging of boundary records, flushed under
-//     one of the coloring paper's §4.2 send policies: kBroadcastUnion
-//     (FIAB), kCustomizedAll (FIAC), or kCustomizedNeighbors (NEW).
+//   * FanoutStage — per-source staging of boundary records, one writer per
+//     rank in the source's destination set, flushed under one of the
+//     coloring paper's §4.2 send policies: kBroadcastUnion (FIAB),
+//     kCustomizedAll (FIAC), or kCustomizedNeighbors (NEW).
 //
 // All modelled-time semantics (send overhead, latency + inverse-bandwidth
 // cost, FIFO channels, deterministic jitter) are bit-identical to the
@@ -25,7 +26,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "runtime/comm_stats.hpp"
@@ -403,19 +406,34 @@ class Bundler {
 
 /// Per-source staging of one superstep's boundary records, flushed under a
 /// SendPolicy — the coloring paper's FIAB / FIAC / NEW comparison expressed
-/// as a fabric-level primitive.
+/// as a fabric-level primitive. Customized records are staged only for the
+/// source's destination set (its neighbour ranks), so a rank's staging
+/// grows with the ranks it can reach, not with the machine size.
 class FanoutStage {
  public:
-  explicit FanoutStage(Rank num_ranks, WireCodec codec = WireCodec::kCompact)
-      : dest_payload_(static_cast<std::size_t>(num_ranks), FrameWriter(codec)),
-        union_payload_(codec) {}
+  FanoutStage() = default;
+  /// `dests` — every rank stage() may address — must be sorted and unique.
+  FanoutStage(Rank num_ranks, std::vector<Rank> dests,
+              WireCodec codec = WireCodec::kCompact)
+      : num_ranks_(num_ranks),
+        dests_(std::move(dests)),
+        dest_payload_(dests_.size(), FrameWriter(codec)),
+        union_payload_(codec) {
+    PMC_CHECK(std::adjacent_find(dests_.begin(), dests_.end(),
+                                 std::greater_equal<>()) == dests_.end(),
+              "FanoutStage destination set must be sorted and unique");
+  }
 
   /// Stages one customized (vertex, color) record for dst
-  /// (kCustomizedNeighbors / -All).
+  /// (kCustomizedNeighbors / -All); dst must be in the destination set.
   // pmc-lint: schema(ColorRecord)
   void stage(Rank dst, VertexId global, Color c) {
-    auto& w = dest_payload_[static_cast<std::size_t>(dst)];
-    if (w.empty()) touched_.push_back(dst);
+    const auto it = std::lower_bound(dests_.begin(), dests_.end(), dst);
+    PMC_CHECK(it != dests_.end() && *it == dst,
+              "rank " << dst << " is outside the FanoutStage destination set");
+    const auto i = static_cast<std::size_t>(it - dests_.begin());
+    auto& w = dest_payload_[i];
+    if (w.empty()) touched_.push_back(i);
     w.begin_record();
     w.put_id(global);
     w.put_color(c);
@@ -434,29 +452,30 @@ class FanoutStage {
   /// SendFn is void(Rank dst, std::vector<std::byte>, std::int64_t records).
   template <typename SendFn>
   void flush(SendPolicy policy, Rank src, SendFn&& send) {
-    const Rank P = static_cast<Rank>(dest_payload_.size());
     switch (policy) {
       case SendPolicy::kCustomizedNeighbors:
-        for (Rank dst : touched_) {
-          auto& w = dest_payload_[static_cast<std::size_t>(dst)];
-          const std::int64_t records = w.records();
-          send(dst, w.take(), records);
-        }
+        // First-touch order.
+        for (const std::size_t i : touched_) send_staged(i, send);
         break;
-      case SendPolicy::kCustomizedAll:
+      case SendPolicy::kCustomizedAll: {
         // Customized content, but a message goes to *every* other rank —
         // empty for non-neighbors. Same count as FIAB, lower volume.
-        for (Rank dst = 0; dst < P; ++dst) {
+        std::size_t i = 0;
+        for (Rank dst = 0; dst < num_ranks_; ++dst) {
+          while (i < dests_.size() && dests_[i] < dst) ++i;
           if (dst == src) continue;
-          auto& w = dest_payload_[static_cast<std::size_t>(dst)];
-          const std::int64_t records = w.records();
-          send(dst, w.take(), records);
+          if (i < dests_.size() && dests_[i] == dst) {
+            send_staged(i, send);
+          } else {
+            send(dst, std::vector<std::byte>{}, std::int64_t{0});
+          }
         }
         break;
+      }
       case SendPolicy::kBroadcastUnion: {
         const std::int64_t records = union_payload_.records();
         const auto bytes = union_payload_.take();
-        for (Rank dst = 0; dst < P; ++dst) {
+        for (Rank dst = 0; dst < num_ranks_; ++dst) {
           if (dst == src) continue;
           send(dst, bytes, records);
         }
@@ -467,8 +486,17 @@ class FanoutStage {
   }
 
  private:
-  std::vector<FrameWriter> dest_payload_;
-  std::vector<Rank> touched_;
+  template <typename SendFn>
+  void send_staged(std::size_t i, SendFn& send) {
+    auto& w = dest_payload_[i];
+    const std::int64_t records = w.records();
+    send(dests_[i], w.take(), records);
+  }
+
+  Rank num_ranks_ = 0;
+  std::vector<Rank> dests_;
+  std::vector<FrameWriter> dest_payload_;  // parallel to dests_
+  std::vector<std::size_t> touched_;       // indices into dests_
   FrameWriter union_payload_;
 };
 

@@ -5,6 +5,7 @@
 
 #include <tuple>
 
+#include "coloring/jones_plassmann.hpp"
 #include "coloring/parallel.hpp"
 #include "coloring/sequential.hpp"
 #include "graph/generators.hpp"
@@ -116,6 +117,44 @@ TEST(DistColoring, CommModesAllProperAndOrderedByTraffic) {
   EXPECT_LT(rc.run.comm.bytes, rb.run.comm.bytes);
   EXPECT_LE(rn.run.comm.messages, rc.run.comm.messages);
   EXPECT_LE(rn.run.comm.bytes, rc.run.comm.bytes);
+}
+
+// A 16x16 grid on 64 ranks of 2x2: each rank neighbours at most four of
+// the other 63, so staging keyed by the neighbour set must leave every
+// mode's traffic exactly as it was when every rank staged for all ranks.
+TEST(DistColoring, SparseNeighbourStagingKeepsEveryModesTraffic) {
+  const Graph g = grid_2d(16, 16);
+  const Partition p = grid_2d_partition(16, 16, 8, 8);
+  const DistGraph dist = DistGraph::build(g, p);
+  auto run = [&](CommMode mode) {
+    DistColoringOptions opts;  // Blue Gene/P model: envelopes cost bytes
+    opts.comm_mode = mode;
+    return color_distributed(dist, opts);
+  };
+  const auto rb = run(CommMode::kBroadcastUnion);
+  const auto rc = run(CommMode::kCustomizedAll);
+  const auto rn = run(CommMode::kCustomizedNeighbors);
+  for (const auto* r : {&rb, &rc, &rn}) {
+    std::string why;
+    EXPECT_TRUE(is_proper_coloring(g, r->coloring, &why)) << why;
+  }
+  // Pinned from the all-ranks staging (64 writers per rank per run).
+  EXPECT_EQ(rb.run.comm.messages, 4473);
+  EXPECT_EQ(rb.run.comm.bytes, 210546);
+  EXPECT_EQ(rc.run.comm.messages, 4473);
+  EXPECT_EQ(rc.run.comm.bytes, 145889);
+  EXPECT_EQ(rn.run.comm.messages, 236);
+  EXPECT_EQ(rn.run.comm.bytes, 10305);
+  // FIAC still sends a (mostly empty) frame to every other rank: the first
+  // round alone is 64 x 63 messages, against at most 4 neighbours per rank,
+  // and each empty frame still pays its envelope bytes.
+  EXPECT_GE(rc.run.comm.messages, 64 * 63);
+  EXPECT_GT(rc.run.comm.bytes, rn.run.comm.bytes);
+  const auto jp = color_jones_plassmann(dist);
+  std::string why;
+  EXPECT_TRUE(is_proper_coloring(g, jp.coloring, &why)) << why;
+  EXPECT_EQ(jp.run.comm.messages, 409);
+  EXPECT_EQ(jp.run.comm.bytes, 17159);
 }
 
 TEST(DistColoring, SyncModeAlsoProper) {

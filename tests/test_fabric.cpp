@@ -525,7 +525,7 @@ TEST(Bundler, ThresholdFlushBoundsStagedBytesWithoutLoss) {
 // ---- FanoutStage ------------------------------------------------------------
 
 TEST(FanoutStage, CustomizedNeighborsSendsOnlyToTouchedRanks) {
-  FanoutStage stage(4);
+  FanoutStage stage(4, {1, 2, 3});
   SendLog log;
   stage.stage(1, VertexId{10}, Color{2});
   stage.stage(3, VertexId{11}, Color{4});
@@ -538,8 +538,22 @@ TEST(FanoutStage, CustomizedNeighborsSendsOnlyToTouchedRanks) {
   EXPECT_EQ(log.sent[1].records, 1);
 }
 
+TEST(FanoutStage, CustomizedNeighborsFlushesInFirstTouchOrder) {
+  FanoutStage stage(4, {1, 3});
+  SendLog log;
+  stage.stage(3, VertexId{10}, Color{2});
+  stage.stage(1, VertexId{11}, Color{4});
+  stage.stage(3, VertexId{12}, Color{1});
+  stage.flush(SendPolicy::kCustomizedNeighbors, 0, log.sink());
+  ASSERT_EQ(log.sent.size(), 2u);
+  EXPECT_EQ(log.sent[0].dst, 3);
+  EXPECT_EQ(log.sent[0].records, 2);
+  EXPECT_EQ(log.sent[1].dst, 1);
+  EXPECT_EQ(log.sent[1].records, 1);
+}
+
 TEST(FanoutStage, CustomizedAllSendsPossiblyEmptyMessageToEveryOtherRank) {
-  FanoutStage stage(4);
+  FanoutStage stage(4, {0, 1, 3});
   SendLog log;
   stage.stage(1, VertexId{10}, Color{2});
   stage.flush(SendPolicy::kCustomizedAll, 2, log.sink());
@@ -553,8 +567,38 @@ TEST(FanoutStage, CustomizedAllSendsPossiblyEmptyMessageToEveryOtherRank) {
   EXPECT_EQ(nonempty, 1);
 }
 
+TEST(FanoutStage, CustomizedAllSendsEmptyFramesToRanksOutsideTheSet) {
+  FanoutStage stage(4, {1});
+  SendLog log;
+  stage.stage(1, VertexId{10}, Color{2});
+  stage.flush(SendPolicy::kCustomizedAll, 2, log.sink());
+  // Every rank but the source, in ascending order; only rank 1 (the one
+  // destination-set member) carries bytes.
+  ASSERT_EQ(log.sent.size(), 3u);
+  const std::vector<Rank> expected_dst = {0, 1, 3};
+  for (std::size_t i = 0; i < log.sent.size(); ++i) {
+    const auto& s = log.sent[i];
+    EXPECT_EQ(s.dst, expected_dst[i]);
+    if (s.dst == 1) {
+      EXPECT_FALSE(s.payload.empty());
+      EXPECT_EQ(s.records, 1);
+    } else {
+      EXPECT_TRUE(s.payload.empty());
+      EXPECT_EQ(s.records, 0);
+    }
+  }
+}
+
+TEST(FanoutStage, StagingOutsideTheDestinationSetThrows) {
+  FanoutStage stage(4, {1, 3});
+  EXPECT_THROW(stage.stage(2, VertexId{10}, Color{0}), Error);
+  EXPECT_THROW(stage.stage(0, VertexId{10}, Color{0}), Error);
+  EXPECT_THROW((FanoutStage(4, {3, 1})), Error);  // unsorted
+  EXPECT_THROW((FanoutStage(4, {1, 1})), Error);  // duplicate
+}
+
 TEST(FanoutStage, BroadcastUnionCopiesTheUnionToEveryOtherRank) {
-  FanoutStage stage(4);
+  FanoutStage stage(4, {});
   SendLog log;
   stage.stage_union(VertexId{10}, Color{2});
   stage.stage_union(VertexId{11}, Color{3});
@@ -568,7 +612,7 @@ TEST(FanoutStage, BroadcastUnionCopiesTheUnionToEveryOtherRank) {
 }
 
 TEST(FanoutStage, FlushResetsStateBetweenSupersteps) {
-  FanoutStage stage(3);
+  FanoutStage stage(3, {1});
   SendLog log;
   stage.stage(1, VertexId{10}, Color{0});
   stage.flush(SendPolicy::kCustomizedNeighbors, 0, log.sink());

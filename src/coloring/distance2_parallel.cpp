@@ -4,6 +4,7 @@
 #include <numeric>
 #include <unordered_set>
 
+#include "coloring/color_exchange.hpp"
 #include "runtime/bsp_engine.hpp"
 #include "runtime/fabric.hpp"
 #include "runtime/serialize.hpp"
@@ -120,22 +121,13 @@ struct D2RankState {
   FanoutStage stage;
 };
 
-// pmc-lint: schema(ColorRecord)
 void d2_apply_records(D2RankState& st, const BspMessage& msg) {
-  if (msg.payload.empty()) return;
-  FrameReader reader(msg.payload);
-  PMC_CHECK(reader.valid(),
-            "undetected bad frame reached the distance-2 coloring: "
-                << reader.error());
-  for (std::int64_t i = 0; i < reader.records(); ++i) {
-    const VertexId global = reader.read_id();
-    const Color c = reader.read_color();
-    const auto it = st.view->global_to_local.find(global);
+  for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
+    const auto it = st.view->global_to_local.find(rec.vertex);
     PMC_CHECK(it != st.view->global_to_local.end(),
               "distance-2 record for vertex outside the view");
-    st.color[static_cast<std::size_t>(it->second)] = c;
-  }
-  PMC_CHECK(reader.done(), "trailing garbage after the last color record");
+    st.color[static_cast<std::size_t>(it->second)] = rec.color;
+  });
 }
 
 /// First-fit over the distance-2 neighborhood; returns arcs touched.
@@ -159,7 +151,6 @@ double d2_color_vertex(D2RankState& st, VertexId v, Color* chosen) {
 
 }  // namespace
 
-// pmc-lint: schema(ColorRecord)
 DistColoringResult color_distance2_distributed_native(
     const Graph& g, const Partition& p, const DistColoringOptions& options) {
   PMC_REQUIRE(options.superstep_size >= 1, "superstep size must be >= 1");
@@ -198,35 +189,7 @@ DistColoringResult color_distance2_distributed_native(
   // distance-1 coloring). Receipt callbacks fire on the main thread at the
   // rank-ordered merge that replays each rank's lane, so no locking is
   // needed.
-  std::vector<std::unordered_set<VertexId>> lost(static_cast<std::size_t>(P));
-  const auto send_from = [&lost, faults_on](BspEngine::RankCtx& ctx) {
-    return [&lost, faults_on, &ctx](Rank dst, std::vector<std::byte> payload,
-                                    std::int64_t records) {
-      if (!faults_on) {
-        ctx.send(dst, std::move(payload), records);
-        return;
-      }
-      const Rank src = ctx.rank();
-      ctx.send(dst, std::move(payload), records,
-               [&lost, src](const CommFabric::SendReceipt& receipt,
-                            std::span<const std::byte> bytes) {
-                 if (!receipt.dropped && !receipt.corrupted) return;
-                 if (bytes.empty()) return;
-                 FrameReader reader(bytes);
-                 PMC_CHECK(reader.valid(),
-                           "sender-side copy of a lost frame is invalid: "
-                               << reader.error());
-                 for (std::int64_t i = 0; i < reader.records(); ++i) {
-                   const VertexId global = reader.read_id();
-                   (void)reader.read_color();
-                   lost[static_cast<std::size_t>(src)].insert(global);
-                 }
-                 PMC_CHECK(reader.done(),
-                           "trailing garbage after the last lost-color "
-                           "record");
-               });
-    };
-  };
+  LostColorSets lost(static_cast<std::size_t>(P));
 
   while (true) {
     VertexId max_todo = 0;
@@ -276,7 +239,8 @@ DistColoringResult color_distance2_distributed_native(
             st.stage.stage(dst, global, chosen);
           }
         }
-        st.stage.flush(SendPolicy::kCustomizedNeighbors, r, send_from(ctx));
+        st.stage.flush(SendPolicy::kCustomizedNeighbors, r,
+                       lost_tracking_color_sender(lost, faults_on, ctx));
       };
       if (sync_mode) {
         engine.run_ranks(superstep);

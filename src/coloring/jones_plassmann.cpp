@@ -28,7 +28,6 @@ struct JpRankState {
 
 }  // namespace
 
-// pmc-lint: schema(ColorRecord)
 JonesPlassmannResult color_jones_plassmann(
     const DistGraph& dist, const JonesPlassmannOptions& options) {
   WallTimer wall;
@@ -108,10 +107,7 @@ JonesPlassmannResult color_jones_plassmann(
         if (lg.is_boundary(v)) {
           for (const std::size_t slot :
                st.adj_slots[static_cast<std::size_t>(v)]) {
-            auto& w = dest_payload[slot];
-            w.begin_record();
-            w.put_id(gv);
-            w.put_color(c);
+            dest_payload[slot].append(ColorRecord{gv, c});
           }
         }
       }
@@ -129,17 +125,11 @@ JonesPlassmannResult color_jones_plassmann(
     engine.run_ranks([&](BspEngine::RankCtx& ctx) {
       JpRankState& st = states[static_cast<std::size_t>(ctx.rank())];
       for (const BspMessage& msg : ctx.drain()) {
-        FrameReader reader(msg.payload);
-        PMC_CHECK(reader.valid(), "undetected bad frame reached JP: "
-                                      << reader.error());
-        for (std::int64_t i = 0; i < reader.records(); ++i) {
-          const VertexId global = reader.read_id();
-          const Color c = reader.read_color();
-          const VertexId local = st.lg->local_id(global);
+        for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
+          const VertexId local = st.lg->local_id(rec.vertex);
           PMC_CHECK(local != kNoVertex, "JP record for unknown vertex");
-          st.color[static_cast<std::size_t>(local)] = c;
-        }
-        PMC_CHECK(reader.done(), "trailing garbage after the last JP record");
+          st.color[static_cast<std::size_t>(local)] = rec.color;
+        });
       }
     });
     ++result.rounds;

@@ -12,7 +12,6 @@
 
 namespace pmc {
 
-// pmc-lint: schema(ColorRecord)
 DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
                                              const Coloring& c,
                                              const MachineModel& model,
@@ -40,10 +39,9 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
       scratch.erase(std::unique(scratch.begin(), scratch.end()),
                     scratch.end());
       for (Rank dst : scratch) {
-        auto& w = out.try_emplace(dst, FrameWriter(codec)).first->second;
-        w.begin_record();
-        w.put_id(gv);
-        w.put_color(c.color[static_cast<std::size_t>(gv)]);
+        out.try_emplace(dst, FrameWriter(codec))
+            .first->second.append(
+                ColorRecord{gv, c.color[static_cast<std::size_t>(gv)]});
       }
     }
     // Ship in ascending destination order (D1): hash-order sends would tie
@@ -63,18 +61,9 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
     std::int64_t& mine = violations[static_cast<std::size_t>(r)];
     std::unordered_map<VertexId, Color> ghost_color;
     for (const BspMessage& msg : ctx.drain()) {
-      if (msg.payload.empty()) continue;
-      FrameReader reader(msg.payload);
-      PMC_CHECK(reader.valid(),
-                "undetected bad frame reached the coloring verifier: "
-                    << reader.error());
-      for (std::int64_t i = 0; i < reader.records(); ++i) {
-        const VertexId gv = reader.read_id();
-        const Color color = reader.read_color();
-        ghost_color[gv] = color;
-      }
-      PMC_CHECK(reader.done(),
-                "trailing garbage after the last boundary-color record");
+      for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
+        ghost_color[rec.vertex] = rec.color;
+      });
     }
     for (VertexId v = 0; v < lg.num_owned(); ++v) {
       ctx.charge(static_cast<double>(lg.degree(v)) + 1.0);

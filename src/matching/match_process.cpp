@@ -93,43 +93,30 @@ void MatchProcess::handle(EventContext& ctx, Rank src,
   // the cascades it triggers count as boundary work.
   ctx.set_round(activations_);
   ctx.set_phase(WorkPhase::kBoundary);
-  FrameReader reader(payload);
-  PMC_CHECK(reader.valid(), "undetected bad frame reached the matching: "
-                                << reader.error());
-  for (std::int64_t i = 0; i < reader.records(); ++i) {
-    const std::uint8_t type = reader.read_u8();
+  for_each_record<Record>(payload, [&](const Record& rec) {
     ctx.charge(1.0);
-    handle_record(ctx, reader, type);
+    handle_record(ctx, rec);
     process_pending(ctx);
-  }
-  PMC_CHECK(reader.done(), "trailing garbage after the last matching record");
+  });
   flush(ctx);
 }
 
-void MatchProcess::handle_record(EventContext& ctx, FrameReader& reader,
-                                 std::uint8_t type) {
-  switch (static_cast<RecordType>(type)) {
-    case RecordType::kRequest: {
-      const VertexId u_global = reader.read_id();
-      const VertexId v_global = reader.read_id_rel();
-      handle_request(ctx, u_global, v_global);
+void MatchProcess::handle_record(EventContext& ctx, const Record& rec) {
+  switch (rec.kind) {
+    case RecordType::kRequest:
+      handle_request(ctx, rec.vertex, rec.partner);
+      return;
+    case RecordType::kSucceeded:
+      handle_succeeded(ctx, rec.vertex, rec.partner);
+      return;
+    case RecordType::kFailed:
+      handle_failed(ctx, rec.vertex);
+      return;
+    case RecordType::kInvalidate:
       break;
-    }
-    case RecordType::kSucceeded: {
-      const VertexId x_global = reader.read_id();
-      const VertexId mate_global = reader.read_id_rel();
-      handle_succeeded(ctx, x_global, mate_global);
-      break;
-    }
-    case RecordType::kFailed: {
-      const VertexId x_global = reader.read_id();
-      handle_failed(ctx, x_global);
-      break;
-    }
-    default:
-      PMC_FAIL("unknown matching record type "
-               << static_cast<int>(type) << " on rank " << lg_.rank());
   }
+  PMC_FAIL("INVALIDATE record outside service-mode repair on rank "
+           << lg_.rank());
 }
 
 bool MatchProcess::done() const { return undecided_ == 0; }
@@ -187,8 +174,8 @@ void MatchProcess::recompute_candidate(EventContext& ctx, VertexId v) {
   }
   // Cross candidate: signal the matching preference (paper §3.2), then
   // complete immediately if the other side already requested us (R-set).
-  enqueue_record(ctx, lg_.ghost_owner(c), RecordType::kRequest,
-                 lg_.global_id(v), lg_.global_id(c));
+  enqueue_record(ctx, lg_.ghost_owner(c),
+                 {RecordType::kRequest, lg_.global_id(v), lg_.global_id(c)});
   if (arc_requested_[static_cast<std::size_t>(arc)]) {
     match_cross(ctx, v, c);
   }
@@ -249,7 +236,7 @@ void MatchProcess::notify_decided(EventContext& ctx, VertexId x,
       std::unique(scratch_ranks_.begin(), scratch_ranks_.end()),
       scratch_ranks_.end());
   for (Rank r : scratch_ranks_) {
-    enqueue_record(ctx, r, type, lg_.global_id(x), mate_global);
+    enqueue_record(ctx, r, {type, lg_.global_id(x), mate_global});
   }
 }
 
@@ -341,33 +328,13 @@ EdgeId MatchProcess::find_arc(VertexId v, VertexId t) const {
 // activation, the paper's §3.3 bundling); eager mode sends each record on
 // its own (the unbundled ablation).
 
-void MatchProcess::enqueue_record(EventContext& ctx, Rank dst, RecordType type,
-                                  VertexId a, VertexId b) {
+void MatchProcess::enqueue_record(EventContext& ctx, Rank dst,
+                                  const Record& rec) {
   bundler_.add(
-      dst, [&](FrameWriter& w) { encode(w, type, a, b); },
+      dst, rec,
       [&](Rank d, std::vector<std::byte> payload, std::int64_t records) {
         ctx.send(d, std::move(payload), records);
       });
-}
-
-void MatchProcess::encode(FrameWriter& w, RecordType type, VertexId a,
-                          VertexId b) {
-  w.begin_record();
-  w.put_u8(static_cast<std::uint8_t>(type));
-  // Spelled out per kind so each record layout is checkable against its
-  // decoder in handle_record; kFailed carries no partner id.
-  switch (type) {
-    case RecordType::kRequest:
-    case RecordType::kSucceeded:
-      w.put_id(a);
-      // b is a graph neighbor of a (REQUEST target / mate), so the relative
-      // encoding stays short under the compact codec.
-      w.put_id_rel(b);
-      break;
-    case RecordType::kFailed:
-      w.put_id(a);
-      break;
-  }
 }
 
 void MatchProcess::flush(EventContext& ctx) {

@@ -4,10 +4,11 @@
 //
 // The base class implements the one-shot protocol exactly: REQUEST /
 // SUCCEEDED / FAILED records, bundled or eager, over the event engine.
-// Derived classes (e.g. the service-mode incremental re-matcher) add record
-// types by overriding handle_record() and reuse the candidate/cascade
-// machinery through the protected surface. The base behavior is
-// byte-identical to the pre-refactor implementation — the determinism pins
+// Derived classes (e.g. the service-mode incremental re-matcher) handle the
+// record kinds the one-shot protocol never sends by overriding
+// handle_record() and reuse the candidate/cascade machinery through the
+// protected surface. The base behavior is byte-identical to the
+// pre-refactor implementation — the determinism pins
 // in tests/test_determinism_regression.cpp hold across the move.
 #pragma once
 
@@ -23,6 +24,7 @@
 #include "runtime/event_engine.hpp"
 #include "runtime/fabric.hpp"
 #include "runtime/serialize.hpp"
+#include "support/error.hpp"
 
 namespace pmc {
 
@@ -43,12 +45,40 @@ class MatchProcess : public Process {
 
   [[nodiscard]] int activations() const noexcept { return activations_; }
 
- protected:
   enum class RecordType : std::uint8_t {
-    kRequest = 1,    // (sender vertex, target vertex)
-    kSucceeded = 2,  // (matched vertex, its mate)
-    kFailed = 3,     // (failed vertex)
+    kRequest = 1,     // (sender vertex, target vertex)
+    kSucceeded = 2,   // (matched vertex, its mate)
+    kFailed = 3,      // (failed vertex)
+    kInvalidate = 4,  // (revived vertex); service-mode repair only
   };
+
+  /// One matching record (§3.3): a kind tag, then the kind's ids.
+  struct Record {
+    RecordType kind = RecordType::kRequest;
+    VertexId vertex = 0;
+    VertexId partner = kNoVertex;  ///< REQUEST target / SUCCEEDED mate.
+
+    template <class IO>
+    static void fields(IO& io, Record& r) {
+      io.u8(r.kind);
+      switch (r.kind) {
+        case RecordType::kRequest:
+        case RecordType::kSucceeded:
+          io.id(r.vertex);
+          // The partner is a graph neighbor of vertex, so the relative
+          // encoding stays short under the compact codec.
+          io.id_rel(r.partner);
+          return;
+        case RecordType::kFailed:
+        case RecordType::kInvalidate:
+          io.id(r.vertex);
+          return;
+      }
+      PMC_FAIL("unknown matching record kind " << static_cast<int>(r.kind));
+    }
+  };
+
+ protected:
 
   enum class VState : std::uint8_t {
     kUndecided = 0,
@@ -56,12 +86,10 @@ class MatchProcess : public Process {
     kFailed = 2
   };
 
-  /// Decodes and dispatches one record (the reader is positioned just past
-  /// the type byte). The base implementation handles the three one-shot
-  /// record types and fails on anything else; derived classes intercept
-  /// their own types and delegate the rest here.
-  virtual void handle_record(EventContext& ctx, FrameReader& reader,
-                             std::uint8_t type);
+  /// Dispatches one decoded record. The base implementation handles the
+  /// three one-shot kinds and fails on kInvalidate; derived classes
+  /// intercept the kinds they add and delegate the rest here.
+  virtual void handle_record(EventContext& ctx, const Record& rec);
 
   // ---- candidate maintenance ---------------------------------------------
 
@@ -88,9 +116,7 @@ class MatchProcess : public Process {
 
   // ---- outgoing records ---------------------------------------------------
 
-  void enqueue_record(EventContext& ctx, Rank dst, RecordType type, VertexId a,
-                      VertexId b);
-  static void encode(FrameWriter& w, RecordType type, VertexId a, VertexId b);
+  void enqueue_record(EventContext& ctx, Rank dst, const Record& rec);
   void flush(EventContext& ctx);
 
   /// Sorts vertex v's arcs by (weight desc, neighbor global id asc) — the

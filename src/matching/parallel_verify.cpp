@@ -12,7 +12,6 @@
 
 namespace pmc {
 
-// pmc-lint: schema(MateRecord)
 DistVerifyResult verify_matching_distributed(const DistGraph& dist,
                                              const Matching& m,
                                              const MachineModel& model,
@@ -43,10 +42,8 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
           std::unique(scratch_ranks.begin(), scratch_ranks.end()),
           scratch_ranks.end());
       for (Rank dst : scratch_ranks) {
-        auto& w = out.try_emplace(dst, FrameWriter(codec)).first->second;
-        w.begin_record();
-        w.put_id(gv);
-        w.put_id_rel(mate);
+        out.try_emplace(dst, FrameWriter(codec))
+            .first->second.append(MateRecord{gv, mate});
       }
     }
     // Ship in ascending destination order (D1): hash-order sends would tie
@@ -68,18 +65,9 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
     // Ghost mate table from the received records.
     std::unordered_map<VertexId, VertexId> ghost_mate;
     for (const BspMessage& msg : ctx.drain()) {
-      if (msg.payload.empty()) continue;
-      FrameReader reader(msg.payload);
-      PMC_CHECK(reader.valid(),
-                "undetected bad frame reached the matching verifier: "
-                    << reader.error());
-      for (std::int64_t i = 0; i < reader.records(); ++i) {
-        const VertexId gv = reader.read_id();
-        const VertexId mate = reader.read_id_rel();
-        ghost_mate[gv] = mate;
-      }
-      PMC_CHECK(reader.done(),
-                "trailing garbage after the last boundary-mate record");
+      for_each_record<MateRecord>(msg.payload, [&](const MateRecord& rec) {
+        ghost_mate[rec.vertex] = rec.mate;
+      });
     }
     auto mate_of_local = [&](VertexId local) {
       const VertexId global = lg.global_id(local);

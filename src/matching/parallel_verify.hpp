@@ -20,6 +20,19 @@
 
 namespace pmc {
 
+/// The verifier's boundary record: owned vertex `vertex` is matched to
+/// `mate` (kNoVertex when unmatched).
+struct MateRecord {
+  VertexId vertex = 0;
+  VertexId mate = kNoVertex;
+
+  template <class IO>
+  static void fields(IO& io, MateRecord& r) {
+    io.id(r.vertex);
+    io.id_rel(r.mate);
+  }
+};
+
 /// Outcome of a distributed matching verification.
 struct DistVerifyResult {
   std::int64_t violations = 0;  ///< 0 = valid (and maximal, for matching).

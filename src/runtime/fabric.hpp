@@ -333,12 +333,12 @@ enum class BundleMode {
 /// promoted from the matching algorithm into the runtime so every algorithm
 /// (and the unbundled ablation) shares one implementation.
 ///
-/// Records are appended through an encode callback writing into the staged
-/// FrameWriter (the callback is responsible for begin_record()); the send
-/// callback receives (dst, framed payload, record_count) and forwards to
-/// the engine. With a non-zero flush threshold, a destination's bundle is
-/// sent as soon as its staged *payload* (pre-frame encoded bytes) reaches
-/// the threshold (bounding message size without changing record order).
+/// Records (any type with a fields() list, see serialize.hpp) are appended
+/// to the staged FrameWriter; the send callback receives (dst, framed
+/// payload, record_count) and forwards to the engine. With a non-zero flush
+/// threshold, a destination's bundle is sent as soon as its staged
+/// *payload* (pre-frame encoded bytes) reaches the threshold (bounding
+/// message size without changing record order).
 class Bundler {
  public:
   explicit Bundler(BundleMode mode, std::size_t flush_threshold_bytes = 0,
@@ -350,15 +350,14 @@ class Bundler {
   [[nodiscard]] BundleMode mode() const noexcept { return mode_; }
   [[nodiscard]] WireCodec codec() const noexcept { return codec_; }
 
-  /// Appends one record for dst. EncodeFn is void(FrameWriter&); SendFn is
-  /// void(Rank, std::vector<std::byte>, std::int64_t records).
-  template <typename EncodeFn, typename SendFn>
-  void add(Rank dst, EncodeFn&& encode, SendFn&& send) {
+  /// Appends one record for dst. SendFn is void(Rank,
+  /// std::vector<std::byte>, std::int64_t records).
+  template <typename R, typename SendFn>
+  void add(Rank dst, const R& record, SendFn&& send) {
     if (mode_ == BundleMode::kEager) {
       FrameWriter w(codec_);
-      encode(w);
-      const std::int64_t records = w.records();
-      send(dst, w.take(), records);
+      w.append(record);
+      send(dst, w.take(), std::int64_t{1});
       return;
     }
     auto it = out_.find(dst);
@@ -366,7 +365,7 @@ class Bundler {
       it = out_.try_emplace(dst, FrameWriter(codec_)).first;
     }
     FrameWriter& w = it->second;
-    encode(w);
+    w.append(record);
     if (flush_threshold_bytes_ != 0 &&
         w.payload_size() >= flush_threshold_bytes_) {
       const std::int64_t records = w.records();
@@ -404,6 +403,19 @@ class Bundler {
   std::unordered_map<Rank, FrameWriter> out_;
 };
 
+/// The coloring's boundary announcement (§4.2): vertex `vertex` now has
+/// color `color`.
+struct ColorRecord {
+  VertexId vertex = 0;
+  Color color = 0;
+
+  template <class IO>
+  static void fields(IO& io, ColorRecord& r) {
+    io.id(r.vertex);
+    io.color(r.color);
+  }
+};
+
 /// Per-source staging of one superstep's boundary records, flushed under a
 /// SendPolicy — the coloring paper's FIAB / FIAC / NEW comparison expressed
 /// as a fabric-level primitive. Customized records are staged only for the
@@ -426,7 +438,6 @@ class FanoutStage {
 
   /// Stages one customized (vertex, color) record for dst
   /// (kCustomizedNeighbors / -All); dst must be in the destination set.
-  // pmc-lint: schema(ColorRecord)
   void stage(Rank dst, VertexId global, Color c) {
     const auto it = std::lower_bound(dests_.begin(), dests_.end(), dst);
     PMC_CHECK(it != dests_.end() && *it == dst,
@@ -434,18 +445,13 @@ class FanoutStage {
     const auto i = static_cast<std::size_t>(it - dests_.begin());
     auto& w = dest_payload_[i];
     if (w.empty()) touched_.push_back(i);
-    w.begin_record();
-    w.put_id(global);
-    w.put_color(c);
+    w.append(ColorRecord{global, c});
   }
 
   /// Stages one (vertex, color) record of the shared union payload
   /// (kBroadcastUnion).
-  // pmc-lint: schema(ColorRecord)
   void stage_union(VertexId global, Color c) {
-    union_payload_.begin_record();
-    union_payload_.put_id(global);
-    union_payload_.put_color(c);
+    union_payload_.append(ColorRecord{global, c});
   }
 
   /// Sends the staged records from src under `policy` and resets the stage.

@@ -139,29 +139,20 @@ std::uint64_t FrameReader::read_uvarint() {
   PMC_FAIL("overlong varint in frame payload");
 }
 
-std::uint8_t FrameReader::read_u8() {
-  PMC_CHECK(valid(), "reading from an invalid frame: " << error_);
-  return read_raw<std::uint8_t>();
-}
-
 VertexId FrameReader::read_id() {
-  PMC_CHECK(valid(), "reading from an invalid frame: " << error_);
   if (codec_ == WireCodec::kFixed) return read_raw<VertexId>();
   last_id_ += read_svarint();
   return last_id_;
 }
 
 VertexId FrameReader::read_id_rel() {
-  PMC_CHECK(valid(), "reading from an invalid frame: " << error_);
   if (codec_ == WireCodec::kFixed) return read_raw<VertexId>();
   return last_id_ + read_svarint();
 }
 
 Color FrameReader::read_color() {
-  PMC_CHECK(valid(), "reading from an invalid frame: " << error_);
   if (codec_ == WireCodec::kFixed) return read_raw<Color>();
-  const std::int64_t c = read_svarint();
-  return static_cast<Color>(c);
+  return static_cast<Color>(read_svarint());
 }
 
 void corrupt_one_bit(std::vector<std::byte>& bytes, std::uint64_t seed) {

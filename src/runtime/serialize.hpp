@@ -31,10 +31,22 @@
 // is reported through FrameReader::valid() — never a crash — so the
 // engines' retry/repair machinery can treat it as a detected corruption.
 //
-// ByteWriter/ByteReader remain as the low-level fixed-width primitive (the
-// frame internals and a few tests use them directly). The encoding is
-// native-endian throughout: messages never leave the process — the runtime
-// is a simulation.
+// Records are declared, not hand-coded: each record type R lists its fields
+// once, in wire order, as
+//
+//   template <class IO> static void fields(IO& io, R& r) {
+//     io.id(r.vertex);
+//     io.color(r.color);
+//   }
+//
+// and FrameWriter::append(r) / for_each_record<R>(frame, fn) walk that one
+// list to encode and to decode. The field primitives are io.u8 (a one-byte
+// tag or enum), io.id (a vertex id on the frame's delta chain), io.id_rel
+// (an id relative to the last io.id, not advancing the chain) and io.color.
+// The typed put_*/read_* cursors are private to the codec, so an encoder
+// and its decoder cannot drift apart, and every decode ends with the
+// trailing-bytes check. The encoding is native-endian throughout: messages
+// never leave the process — the runtime is a simulation.
 #pragma once
 
 #include <cstddef>
@@ -49,65 +61,6 @@
 #include "support/types.hpp"
 
 namespace pmc {
-
-/// Appends trivially copyable values to a growing byte buffer.
-class ByteWriter {
- public:
-  template <typename T>
-  void put(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "ByteWriter only supports trivially copyable types");
-    const auto old = bytes_.size();
-    bytes_.resize(old + sizeof(T));
-    std::memcpy(bytes_.data() + old, &value, sizeof(T));
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return bytes_.empty(); }
-
-  /// Releases the buffer (writer becomes empty). The moved-from vector is
-  /// cleared explicitly: the standard only leaves it in a valid unspecified
-  /// state, and the writer is documented to be reusable after take().
-  [[nodiscard]] std::vector<std::byte> take() noexcept {
-    std::vector<std::byte> out = std::move(bytes_);
-    bytes_.clear();
-    return out;
-  }
-
-  void clear() noexcept { bytes_.clear(); }
-
- private:
-  std::vector<std::byte> bytes_;
-};
-
-/// Sequentially decodes values from a byte payload.
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::byte> bytes) noexcept
-      : bytes_(bytes) {}
-
-  template <typename T>
-  [[nodiscard]] T get() {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "ByteReader only supports trivially copyable types");
-    PMC_CHECK(pos_ + sizeof(T) <= bytes_.size(),
-              "message underflow: need " << sizeof(T) << " bytes at offset "
-                                         << pos_ << " of " << bytes_.size());
-    T value;
-    std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return value;
-  }
-
-  [[nodiscard]] bool done() const noexcept { return pos_ == bytes_.size(); }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return bytes_.size() - pos_;
-  }
-
- private:
-  std::span<const std::byte> bytes_;
-  std::size_t pos_ = 0;
-};
 
 // ---- wire codec -----------------------------------------------------------
 
@@ -185,14 +138,14 @@ class VarintWriter {
   std::vector<std::byte> bytes_;
 };
 
-/// Encodes one outgoing message: records appended through the typed put_*
-/// API, sealed into a checksummed frame by take(). Under kFixed the payload
-/// bytes are identical to the legacy fixed-width encoding; under kCompact
-/// ids are delta-chained varints (put_id advances the chain, put_id_rel
-/// encodes relative to the last put_id without advancing it) and colors are
-/// zigzag varints. take() of a writer with no records returns an empty
-/// vector — empty messages (the FIAC mode's non-neighbor sends) stay
-/// zero-byte on the wire.
+/// Encodes one outgoing message: records added with append(), sealed into a
+/// checksummed frame by take(). Under kFixed the payload bytes are
+/// identical to the legacy fixed-width encoding; under kCompact ids are
+/// delta-chained varints (io.id advances the chain, io.id_rel encodes
+/// relative to the last io.id without advancing it) and colors are zigzag
+/// varints. take() of a writer with no records returns an empty vector —
+/// empty messages (the FIAC mode's non-neighbor sends) stay zero-byte on
+/// the wire.
 class FrameWriter {
  public:
   explicit FrameWriter(WireCodec codec = WireCodec::kCompact) noexcept
@@ -200,12 +153,45 @@ class FrameWriter {
 
   [[nodiscard]] WireCodec codec() const noexcept { return codec_; }
 
-  /// Starts one record (advances the frame's record count).
-  void begin_record() noexcept { ++records_; }
+  /// Encodes one record by walking R::fields (see the header comment).
+  template <class R>
+  void append(const R& record) {
+    ++records_;
+    R copy = record;  // fields() takes R& so that decoding can fill it in
+    Encoder io(*this);
+    R::fields(io, copy);
+  }
+
+  [[nodiscard]] std::int64_t records() const noexcept { return records_; }
+  [[nodiscard]] bool empty() const noexcept { return records_ == 0; }
+  [[nodiscard]] std::size_t payload_size() const noexcept {
+    return payload_.size();
+  }
+
+  /// Seals the staged records into one frame and resets the writer (record
+  /// count, payload, delta chain). No records staged -> empty vector.
+  [[nodiscard]] std::vector<std::byte> take();
+
+ private:
+  /// The `io` a record's fields() sees while encoding.
+  class Encoder {
+   public:
+    explicit Encoder(FrameWriter& w) noexcept : w_(w) {}
+    template <class T>
+    void u8(T v) {
+      static_assert(sizeof(T) == 1, "io.u8 takes a one-byte tag or enum");
+      w_.put_u8(static_cast<std::uint8_t>(v));
+    }
+    void id(VertexId v) { w_.put_id(v); }
+    void id_rel(VertexId v) { w_.put_id_rel(v); }
+    void color(Color c) { w_.put_color(c); }
+
+   private:
+    FrameWriter& w_;
+  };
 
   void put_u8(std::uint8_t b) { payload_.put_u8(b); }
 
-  /// Appends a vertex id on the frame's delta chain.
   void put_id(VertexId id) {
     if (codec_ == WireCodec::kFixed) {
       payload_.put_raw(id);
@@ -215,9 +201,8 @@ class FrameWriter {
     last_id_ = id;
   }
 
-  /// Appends a vertex id relative to the last put_id (mates and request
-  /// targets are graph neighbors of the primary id, so the difference is
-  /// small); does not advance the delta chain.
+  /// Mates and request targets are graph neighbors of the record's primary
+  /// id, so the difference is small.
   void put_id_rel(VertexId id) {
     if (codec_ == WireCodec::kFixed) {
       payload_.put_raw(id);
@@ -234,30 +219,16 @@ class FrameWriter {
     payload_.put_svarint(c);
   }
 
-  [[nodiscard]] std::int64_t records() const noexcept { return records_; }
-  [[nodiscard]] bool empty() const noexcept { return records_ == 0; }
-  [[nodiscard]] std::size_t payload_size() const noexcept {
-    return payload_.size();
-  }
-
-  /// Seals the staged records into one frame and resets the writer (record
-  /// count, payload, delta chain). No records staged -> empty vector.
-  [[nodiscard]] std::vector<std::byte> take();
-
- private:
   WireCodec codec_;
   VarintWriter payload_;
   std::int64_t records_ = 0;
   VertexId last_id_ = 0;
 };
 
-/// Parses and validates one frame, then decodes its payload. Construction
-/// never throws on garbage input: header, length and checksum problems are
-/// reported through valid()/error() so the caller can route the failure
-/// into recovery instead of dying. The read_* cursor API mirrors
-/// FrameWriter and PMC_CHECKs against overruns (using it on an invalid
-/// frame is a programming error); decode loops should iterate records() and
-/// assert done() afterwards so trailing garbage is rejected.
+/// Parses and validates one frame. Construction never throws on garbage
+/// input: header, length and checksum problems are reported through
+/// valid()/error() so the caller can route the failure into recovery
+/// instead of dying. The payload is decoded only by for_each_record.
 class FrameReader {
  public:
   explicit FrameReader(std::span<const std::byte> frame) noexcept;
@@ -269,18 +240,32 @@ class FrameReader {
   [[nodiscard]] WireCodec codec() const noexcept { return codec_; }
   [[nodiscard]] std::int64_t records() const noexcept { return records_; }
 
-  [[nodiscard]] std::uint8_t read_u8();
-  /// Next vertex id on the frame's delta chain.
+ private:
+  template <class R, class Fn>
+  friend void for_each_record(std::span<const std::byte> frame, Fn&& fn);
+
+  /// The `io` a record's fields() sees while decoding.
+  class Decoder {
+   public:
+    explicit Decoder(FrameReader& r) noexcept : r_(r) {}
+    template <class T>
+    void u8(T& v) {
+      static_assert(sizeof(T) == 1, "io.u8 takes a one-byte tag or enum");
+      v = static_cast<T>(r_.read_raw<std::uint8_t>());
+    }
+    void id(VertexId& v) { v = r_.read_id(); }
+    void id_rel(VertexId& v) { v = r_.read_id_rel(); }
+    void color(Color& c) { c = r_.read_color(); }
+
+   private:
+    FrameReader& r_;
+  };
+
+  void parse(std::span<const std::byte> frame) noexcept;
   [[nodiscard]] VertexId read_id();
-  /// Vertex id relative to the last read_id (does not advance the chain).
   [[nodiscard]] VertexId read_id_rel();
   [[nodiscard]] Color read_color();
-
-  /// True once the payload cursor is exhausted.
   [[nodiscard]] bool done() const noexcept { return pos_ == payload_.size(); }
-
- private:
-  void parse(std::span<const std::byte> frame) noexcept;
   [[nodiscard]] std::uint64_t read_uvarint();
   [[nodiscard]] std::int64_t read_svarint() {
     return zigzag_decode(read_uvarint());
@@ -304,6 +289,24 @@ class FrameReader {
   VertexId last_id_ = 0;
   const char* error_ = nullptr;
 };
+
+/// Decodes every record of `frame` as an R, in order, calling fn(record)
+/// for each. An empty span holds zero records (the FIAC mode's empty
+/// sends). An invalid frame, a record that overruns the payload, and
+/// payload bytes left over after the last record all fail a PMC_CHECK.
+template <class R, class Fn>
+void for_each_record(std::span<const std::byte> frame, Fn&& fn) {
+  if (frame.empty()) return;
+  FrameReader reader(frame);
+  PMC_CHECK(reader.valid(), "undetected bad frame: " << reader.error());
+  FrameReader::Decoder io(reader);
+  for (std::int64_t i = 0; i < reader.records(); ++i) {
+    R record{};
+    R::fields(io, record);
+    fn(record);
+  }
+  PMC_CHECK(reader.done(), "trailing bytes after the last record of a frame");
+}
 
 /// Flips one deterministically chosen bit of a non-empty buffer — the
 /// engines' physical model of an in-flight corruption (the fabric issues

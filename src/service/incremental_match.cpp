@@ -106,7 +106,7 @@ void IncrementalMatchProcess::invalidate(EventContext& ctx, VertexId v) {
       std::unique(scratch_ranks_.begin(), scratch_ranks_.end()),
       scratch_ranks_.end());
   for (const Rank r : scratch_ranks_) {
-    enqueue_invalidate(ctx, r, lg_.global_id(v));
+    enqueue_record(ctx, r, {RecordType::kInvalidate, lg_.global_id(v)});
   }
 }
 
@@ -146,32 +146,17 @@ void IncrementalMatchProcess::drain_closure(EventContext& ctx) {
   }
 }
 
-void IncrementalMatchProcess::enqueue_invalidate(EventContext& ctx, Rank dst,
-                                                 VertexId v_global) {
-  bundler_.add(
-      dst,
-      [&](FrameWriter& w) {
-        w.begin_record();
-        w.put_u8(kInvalidateRecord);
-        w.put_id(v_global);
-      },
-      [&](Rank d, std::vector<std::byte> payload, std::int64_t records) {
-        ctx.send(d, std::move(payload), records);
-      });
-}
-
 void IncrementalMatchProcess::handle_record(EventContext& ctx,
-                                            FrameReader& reader,
-                                            std::uint8_t type) {
-  if (type == kInvalidateRecord) {
+                                            const Record& rec) {
+  if (rec.kind == RecordType::kInvalidate) {
     PMC_CHECK(phase_ == Phase::kClosure,
               "INVALIDATE after the closure phase on rank " << lg_.rank());
-    handle_invalidate(ctx, reader.read_id());
+    handle_invalidate(ctx, rec.vertex);
     return;
   }
   PMC_CHECK(phase_ == Phase::kMatch,
             "matching record during the closure phase on rank " << lg_.rank());
-  MatchProcess::handle_record(ctx, reader, type);
+  MatchProcess::handle_record(ctx, rec);
 }
 
 void IncrementalMatchProcess::handle_invalidate(EventContext& ctx,

@@ -88,14 +88,11 @@ class IncrementalMatchProcess : public MatchProcess {
   }
 
  protected:
-  /// The closure phase's cross-rank record (kRequest/kSucceeded/kFailed
-  /// keep their base meaning in the re-match phase).
-  static constexpr std::uint8_t kInvalidateRecord = 4;
-
   enum class Phase : std::uint8_t { kClosure, kMatch };
 
-  void handle_record(EventContext& ctx, FrameReader& reader,
-                     std::uint8_t type) override;
+  /// The closure phase takes only kInvalidate records, the re-match phase
+  /// only the base kinds.
+  void handle_record(EventContext& ctx, const Record& rec) override;
 
   /// Marks owned vertex v invalidated: dissolves its pair, announces the
   /// revival to every rank holding a ghost copy, and queues the closure
@@ -108,7 +105,6 @@ class IncrementalMatchProcess : public MatchProcess {
   /// Drains the closure worklist (invalidate() feeds it).
   void drain_closure(EventContext& ctx);
   void handle_invalidate(EventContext& ctx, VertexId v_global);
-  void enqueue_invalidate(EventContext& ctx, Rank dst, VertexId v_global);
 
   const std::vector<VertexId>& prev_mate_;
   const std::vector<VertexId>& touched_;

@@ -410,14 +410,15 @@ struct SendLog {
         EXPECT_EQ(s.records, 0) << "empty frame claimed records";
         continue;
       }
-      FrameReader r(s.payload);
+      const FrameReader r(s.payload);
       EXPECT_TRUE(r.valid()) << r.error();
       EXPECT_EQ(r.records(), s.records)
           << "record count disagrees with payload";
-      for (std::int64_t i = 0; i < r.records(); ++i) {
-        ids.push_back(static_cast<int>(r.read_id()));
-      }
-      EXPECT_TRUE(r.done()) << "trailing bytes after the last record";
+      // Throws on trailing bytes after the last record.
+      for_each_record<test::IdRecord>(
+          s.payload, [&](const test::IdRecord& rec) {
+            ids.push_back(static_cast<int>(rec.id));
+          });
     }
     return ids;
   }
@@ -430,13 +431,7 @@ std::vector<int> bundler_round_trip(BundleMode mode, std::size_t threshold,
   std::vector<int> staged;
   for (int i = 0; i < num_records; ++i) {
     const Rank dst = static_cast<Rank>(i % 3);
-    bundler.add(
-        dst,
-        [i](FrameWriter& w) {
-          w.begin_record();
-          w.put_id(i);
-        },
-        log.sink());
+    bundler.add(dst, test::IdRecord{i}, log.sink());
     staged.push_back(i);
   }
   bundler.flush(log.sink());
@@ -474,13 +469,7 @@ TEST(Bundler, FlushEmitsBundlesInAscendingDestinationOrder) {
   const Rank dsts[] = {41, 3, 29, 7, 101, 0, 57, 19, 83, 11,
                        67, 5, 97, 23, 31, 2,  89, 13, 71, 47};
   for (const Rank dst : dsts) {
-    bundler.add(
-        dst,
-        [dst](FrameWriter& w) {
-          w.begin_record();
-          w.put_id(dst);
-        },
-        log.sink());
+    bundler.add(dst, test::IdRecord{dst}, log.sink());
   }
   bundler.flush(log.sink());
   ASSERT_EQ(log.sent.size(), std::size(dsts));
@@ -492,13 +481,7 @@ TEST(Bundler, FlushEmitsBundlesInAscendingDestinationOrder) {
 TEST(Bundler, SecondFlushSendsNothing) {
   SendLog log;
   Bundler bundler(BundleMode::kBundled);
-  bundler.add(
-      1,
-      [](FrameWriter& w) {
-        w.begin_record();
-        w.put_id(7);
-      },
-      log.sink());
+  bundler.add(1, test::IdRecord{7}, log.sink());
   bundler.flush(log.sink());
   const std::size_t after_first = log.sent.size();
   bundler.flush(log.sink());

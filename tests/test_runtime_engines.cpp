@@ -10,9 +10,13 @@
 #include "runtime/machine_model.hpp"
 #include "runtime/serialize.hpp"
 #include "support/error.hpp"
+#include "test_util.hpp"
 
 namespace pmc {
 namespace {
+
+using test::id_frame;
+using test::only_id;
 
 // ---- machine model ---------------------------------------------------------
 
@@ -39,30 +43,6 @@ TEST(MachineModel, ZeroCostReallyIsFree) {
   EXPECT_DOUBLE_EQ(m.collective_seconds(4096), 0.0);
 }
 
-// ---- serialization -----------------------------------------------------------
-
-TEST(Serialize, RoundTripsMixedTypes) {
-  ByteWriter w;
-  w.put<std::uint8_t>(7);
-  w.put<std::int64_t>(-123456789);
-  w.put<double>(3.25);
-  const auto bytes = std::vector<std::byte>(w.take());
-  ByteReader r(bytes);
-  EXPECT_EQ(r.get<std::uint8_t>(), 7);
-  EXPECT_EQ(r.get<std::int64_t>(), -123456789);
-  EXPECT_DOUBLE_EQ(r.get<double>(), 3.25);
-  EXPECT_TRUE(r.done());
-}
-
-TEST(Serialize, UnderflowThrows) {
-  ByteWriter w;
-  w.put<std::uint8_t>(1);
-  const auto bytes = w.take();
-  ByteReader r(bytes);
-  (void)r.get<std::uint8_t>();
-  EXPECT_THROW((void)r.get<std::int64_t>(), Error);
-}
-
 // ---- event engine -------------------------------------------------------------
 
 /// Ping-pong process: rank 0 sends `rounds` pings; rank 1 echoes.
@@ -74,19 +54,18 @@ class PingPong final : public Process {
   void start(EventContext& ctx) override {
     if (initiator_) {
       ctx.charge(1.0);
-      ctx.send(peer_, make_payload(0), 1);
+      ctx.send(peer_, id_frame(0), 1);
     }
   }
 
   void handle(EventContext& ctx, Rank src,
               std::span<const std::byte> payload) override {
     EXPECT_EQ(src, peer_);
-    ByteReader r(payload);
-    const int hop = r.get<int>();
+    const VertexId hop = only_id(payload);
     ++received_;
     if (hop + 1 < 2 * rounds_) {
       ctx.charge(1.0);
-      ctx.send(peer_, make_payload(hop + 1), 1);
+      ctx.send(peer_, id_frame(hop + 1), 1);
     } else {
       finished_ = true;
     }
@@ -100,11 +79,6 @@ class PingPong final : public Process {
   [[nodiscard]] int received() const { return received_; }
 
  private:
-  static std::vector<std::byte> make_payload(int hop) {
-    ByteWriter w;
-    w.put(hop);
-    return w.take();
-  }
   Rank peer_;
   bool initiator_;
   int rounds_;
@@ -205,16 +179,13 @@ TEST(EventEngine, RunTwiceIsRejected) {
   EXPECT_THROW((void)engine.run(), Error);
 }
 
-/// Failure injection: a sender emits a truncated record; the receiving
-/// process's decoder must fail loudly (ByteReader underflow), and the error
-/// must propagate out of run() rather than being swallowed.
+/// Failure injection: sender and receiver disagree on the record shape —
+/// the sender frames a one-field IdRecord, the receiver decodes a two-field
+/// ColorRecord. The receiver's decode must fail loudly (payload underflow),
+/// and the error must propagate out of run() rather than being swallowed.
 class TruncatedSender final : public Process {
  public:
-  void start(EventContext& ctx) override {
-    ByteWriter w;
-    w.put<std::uint8_t>(1);  // record type, but the required body is missing
-    ctx.send(1, w.take(), 1);
-  }
+  void start(EventContext& ctx) override { ctx.send(1, id_frame(7), 1); }
   void handle(EventContext&, Rank, std::span<const std::byte>) override {}
   [[nodiscard]] bool done() const override { return true; }
 };
@@ -223,9 +194,8 @@ class StrictReceiver final : public Process {
  public:
   void start(EventContext&) override {}
   void handle(EventContext&, Rank, std::span<const std::byte> payload) override {
-    ByteReader r(payload);
-    (void)r.get<std::uint8_t>();
-    (void)r.get<std::int64_t>();  // underflow -> pmc::Error
+    // The color field is missing: underflow -> pmc::Error.
+    for_each_record<ColorRecord>(payload, [](const ColorRecord&) {});
   }
   [[nodiscard]] bool done() const override { return true; }
 };
@@ -281,9 +251,7 @@ void on_rank(BspEngine& engine, Rank r,
 TEST(BspEngine, PollRespectsArrivalTimes) {
   BspEngine engine(2, MachineModel::blue_gene_p());
   on_rank(engine, 0, [](BspEngine::RankCtx& ctx) {
-    ByteWriter w;
-    w.put<int>(42);
-    ctx.send(1, w.take(), 1);
+    ctx.send(1, id_frame(42), 1);
   });
   // Rank 1's clock is still 0 — the message has not "arrived" yet. The
   // poll is harvested at the entry clock, so the charge after it cannot
@@ -300,8 +268,7 @@ TEST(BspEngine, PollRespectsArrivalTimes) {
     if (ctx.rank() == 1) msgs = ctx.poll();
   });
   ASSERT_EQ(msgs.size(), 1u);
-  ByteReader r(msgs[0].payload);
-  EXPECT_EQ(r.get<int>(), 42);
+  EXPECT_EQ(only_id(msgs[0].payload), 42);
 }
 
 TEST(BspEngine, BarrierDeliversEverything) {

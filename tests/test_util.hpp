@@ -13,6 +13,7 @@
 
 #include "graph/csr_graph.hpp"
 #include "matching/matching.hpp"
+#include "runtime/serialize.hpp"
 #include "support/types.hpp"
 
 namespace pmc::test {
@@ -75,6 +76,31 @@ inline std::string sanitize(std::string s) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
   return s;
+}
+
+/// A one-field wire record for tests that need some payload: one id on the
+/// frame's delta chain (see runtime/serialize.hpp for the fields() idiom).
+struct IdRecord {
+  VertexId id = 0;
+
+  template <class IO>
+  static void fields(IO& io, IdRecord& r) {
+    io.id(r.id);
+  }
+};
+
+/// A frame holding the single record IdRecord{id}.
+inline std::vector<std::byte> id_frame(VertexId id) {
+  FrameWriter w;
+  w.append(IdRecord{id});
+  return w.take();
+}
+
+/// The id of a frame holding a single IdRecord (-1 for an empty span).
+inline VertexId only_id(std::span<const std::byte> frame) {
+  VertexId id = -1;
+  for_each_record<IdRecord>(frame, [&](const IdRecord& r) { id = r.id; });
+  return id;
 }
 
 }  // namespace pmc::test

@@ -1,8 +1,9 @@
 // Tests for the framed wire codec (runtime/serialize.hpp): varint/zigzag
-// primitives, frame round-trips under both codecs, and — the property the
-// fault layer leans on — that every single-bit flip and every truncation of
-// a frame is detected by the header/checksum validation rather than decoded
-// into garbage.
+// primitives, frame round-trips under both codecs for every record shape
+// the algorithms send, the decoder's trailing-byte check, and — the
+// property the fault layer leans on — that every single-bit flip and every
+// truncation of a frame is detected by the header/checksum validation
+// rather than decoded into garbage.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -10,14 +11,20 @@
 #include <string>
 #include <vector>
 
+#include "matching/match_process.hpp"
+#include "matching/parallel_verify.hpp"
+#include "runtime/fabric.hpp"
 #include "runtime/serialize.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "test_util.hpp"
 
 namespace pmc {
 namespace {
 
 constexpr WireCodec kBothCodecs[] = {WireCodec::kFixed, WireCodec::kCompact};
+
+using test::IdRecord;
 
 // ---- primitives -------------------------------------------------------------
 
@@ -62,10 +69,18 @@ TEST(WireCodecNames, ParseAndPrint) {
 /// One synthetic record: mirrors the algorithm payloads (a type byte, an
 /// absolute id, a chain-relative id, a color).
 struct Record {
-  std::uint8_t type;
-  VertexId a;
-  VertexId b;
-  Color c;
+  std::uint8_t type = 0;
+  VertexId a = 0;
+  VertexId b = 0;
+  Color c = 0;
+
+  template <class IO>
+  static void fields(IO& io, Record& r) {
+    io.u8(r.type);
+    io.id(r.a);
+    io.id_rel(r.b);
+    io.color(r.c);
+  }
 };
 
 std::vector<Record> random_records(Rng& rng, int count) {
@@ -95,13 +110,7 @@ std::vector<Record> random_records(Rng& rng, int count) {
 std::vector<std::byte> encode_records(const std::vector<Record>& records,
                                       WireCodec codec) {
   FrameWriter w(codec);
-  for (const Record& r : records) {
-    w.begin_record();
-    w.put_u8(r.type);
-    w.put_id(r.a);
-    w.put_id_rel(r.b);
-    w.put_color(r.c);
-  }
+  for (const Record& r : records) w.append(r);
   return w.take();
 }
 
@@ -111,13 +120,17 @@ void expect_decodes_back(const std::vector<std::byte>& frame,
   ASSERT_TRUE(reader.valid()) << reader.error();
   EXPECT_EQ(reader.codec(), codec);
   ASSERT_EQ(reader.records(), static_cast<std::int64_t>(records.size()));
-  for (const Record& r : records) {
-    EXPECT_EQ(reader.read_u8(), r.type);
-    EXPECT_EQ(reader.read_id(), r.a);
-    EXPECT_EQ(reader.read_id_rel(), r.b);
-    EXPECT_EQ(reader.read_color(), r.c);
+  std::vector<Record> decoded;
+  // for_each_record throws unless the cursor ends exactly at the payload end.
+  EXPECT_NO_THROW(for_each_record<Record>(
+      frame, [&](const Record& r) { decoded.push_back(r); }));
+  ASSERT_EQ(decoded.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(decoded[i].type, records[i].type);
+    EXPECT_EQ(decoded[i].a, records[i].a);
+    EXPECT_EQ(decoded[i].b, records[i].b);
+    EXPECT_EQ(decoded[i].c, records[i].c);
   }
-  EXPECT_TRUE(reader.done());
 }
 
 TEST(FrameCodec, RandomBatchesRoundTripUnderBothCodecs) {
@@ -150,14 +163,12 @@ TEST(FrameCodec, EmptyWriterProducesNoBytes) {
 
 TEST(FrameCodec, TakeResetsWriterAndDeltaChain) {
   FrameWriter w(WireCodec::kCompact);
-  w.begin_record();
-  w.put_id(1 << 20);
+  w.append(IdRecord{1 << 20});
   const auto first = w.take();
   EXPECT_TRUE(w.empty());
   // A fresh record after take() must encode against a reset chain, i.e.
   // produce the same bytes as a brand-new writer.
-  w.begin_record();
-  w.put_id(1 << 20);
+  w.append(IdRecord{1 << 20});
   EXPECT_EQ(w.take(), first);
 }
 
@@ -167,9 +178,7 @@ TEST(FrameCodec, CompactBeatsFixedOnClusteredIds) {
   FrameWriter fixed(WireCodec::kFixed);
   for (VertexId v = 1000; v < 1400; v += 2) {
     for (FrameWriter* w : {&compact, &fixed}) {
-      w->begin_record();
-      w->put_id(v);
-      w->put_color(static_cast<Color>(v % 7));
+      w->append(ColorRecord{v, static_cast<Color>(v % 7)});
     }
   }
   const auto cbytes = compact.take();
@@ -240,10 +249,7 @@ TEST(FrameCodec, ReaderErrorsNameTheProblem) {
   }
   {
     // Valid frame, then break the version nibble.
-    FrameWriter w(WireCodec::kCompact);
-    w.begin_record();
-    w.put_id(1);
-    auto frame = w.take();
+    auto frame = test::id_frame(1);
     frame[0] = std::byte{0xF2};
     const FrameReader reader(frame);
     EXPECT_FALSE(reader.valid());
@@ -254,15 +260,136 @@ TEST(FrameCodec, ReaderErrorsNameTheProblem) {
 // Decoding past the last record or through a mismatched reader is a
 // programming error and must throw rather than return garbage.
 TEST(FrameCodec, OverreadThrows) {
-  FrameWriter w(WireCodec::kCompact);
-  w.begin_record();
-  w.put_id(5);
+  const auto frame = test::id_frame(5);
+  ASSERT_TRUE(FrameReader(frame).valid());
+  VertexId id = -1;
+  EXPECT_NO_THROW(id = test::only_id(frame));
+  EXPECT_EQ(id, 5);
+  // A ColorRecord reader wants one more field than the frame carries.
+  EXPECT_THROW(for_each_record<ColorRecord>(frame, [](const ColorRecord&) {}),
+               Error);
+}
+
+TEST(FrameCodec, EmptySpanHoldsZeroRecords) {
+  EXPECT_EQ(test::only_id({}), -1);
+}
+
+TEST(FrameCodec, InvalidFrameThrows) {
+  const std::vector<std::byte> garbage(8, std::byte{0x5A});
+  EXPECT_THROW(for_each_record<IdRecord>(garbage, [](const IdRecord&) {}),
+               Error);
+}
+
+/// Seals `payload` into a frame declaring `records` records, by hand — the
+/// public varint writer and checksum, no FrameWriter — so a test can build
+/// frames the encoder never would.
+std::vector<std::byte> seal(WireCodec codec, std::uint64_t records,
+                            const VarintWriter& payload) {
+  VarintWriter frame;
+  frame.put_u8(static_cast<std::uint8_t>((kWireFormatVersion << 4) |
+                                         static_cast<std::uint8_t>(codec)));
+  frame.put_uvarint(records);
+  frame.put_uvarint(payload.size());
+  for (const std::byte b : payload.bytes()) {
+    frame.put_u8(static_cast<std::uint8_t>(b));
+  }
+  frame.put_raw(fnv1a32(frame.bytes()));
+  return frame.take();
+}
+
+TEST(FrameCodec, TrailingPayloadByteIsRejected) {
+  for (const WireCodec codec : kBothCodecs) {
+    // The payload of ColorRecord{5, 3}, spelled out per codec.
+    VarintWriter payload;
+    if (codec == WireCodec::kFixed) {
+      payload.put_raw(VertexId{5});
+      payload.put_raw(Color{3});
+    } else {
+      payload.put_svarint(5);  // first id: delta from 0
+      payload.put_svarint(3);
+    }
+    // The hand-built frame is exactly what FrameWriter produces...
+    FrameWriter w(codec);
+    w.append(ColorRecord{5, 3});
+    ASSERT_EQ(seal(codec, 1, payload), w.take()) << to_string(codec);
+
+    // ...until one byte past the record: checksum and length still agree,
+    // but the decoder must refuse the leftover byte.
+    payload.put_u8(0);
+    const auto frame = seal(codec, 1, payload);
+    ASSERT_TRUE(FrameReader(frame).valid()) << to_string(codec);
+    EXPECT_THROW(for_each_record<ColorRecord>(frame, [](const ColorRecord&) {}),
+                 Error)
+        << to_string(codec);
+  }
+}
+
+// ---- record shapes ----------------------------------------------------------
+
+/// Encodes `records` into one frame under `codec` and decodes them back.
+template <class R>
+std::vector<R> round_trip(const std::vector<R>& records, WireCodec codec) {
+  FrameWriter w(codec);
+  for (const R& r : records) w.append(r);
   const auto frame = w.take();
-  FrameReader reader(frame);
-  ASSERT_TRUE(reader.valid());
-  EXPECT_EQ(reader.read_id(), 5);
-  EXPECT_TRUE(reader.done());
-  EXPECT_THROW((void)reader.read_id(), Error);
+  std::vector<R> out;
+  for_each_record<R>(frame, [&](const R& r) { out.push_back(r); });
+  return out;
+}
+
+TEST(RecordShapes, ColorRecordRoundTrips) {
+  const std::vector<ColorRecord> records = {
+      {0, 0}, {7, 3}, {1 << 20, kNoColor}, {6, 4000}, {kNoVertex, 1}};
+  for (const WireCodec codec : kBothCodecs) {
+    const auto back = round_trip(records, codec);
+    ASSERT_EQ(back.size(), records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(back[i].vertex, records[i].vertex) << to_string(codec);
+      EXPECT_EQ(back[i].color, records[i].color) << to_string(codec);
+    }
+  }
+}
+
+TEST(RecordShapes, MateRecordRoundTrips) {
+  const std::vector<MateRecord> records = {
+      {0, 1}, {1, 0}, {1 << 20, kNoVertex}, {42, 41}, {3, (1 << 20) + 9}};
+  for (const WireCodec codec : kBothCodecs) {
+    const auto back = round_trip(records, codec);
+    ASSERT_EQ(back.size(), records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(back[i].vertex, records[i].vertex) << to_string(codec);
+      EXPECT_EQ(back[i].mate, records[i].mate) << to_string(codec);
+    }
+  }
+}
+
+TEST(RecordShapes, EveryMatchingKindRoundTrips) {
+  using Kind = MatchProcess::RecordType;
+  const std::vector<MatchProcess::Record> records = {
+      {Kind::kRequest, 10, 12},   {Kind::kSucceeded, 12, 10},
+      {Kind::kFailed, 1 << 20},   {Kind::kInvalidate, 3},
+      {Kind::kRequest, 3, 1 << 20}, {Kind::kInvalidate, 0}};
+  for (const WireCodec codec : kBothCodecs) {
+    const auto back = round_trip(records, codec);
+    ASSERT_EQ(back.size(), records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(back[i].kind, records[i].kind) << to_string(codec);
+      EXPECT_EQ(back[i].vertex, records[i].vertex) << to_string(codec);
+      // FAILED and INVALIDATE carry no partner on the wire.
+      const bool has_partner = records[i].kind == Kind::kRequest ||
+                               records[i].kind == Kind::kSucceeded;
+      EXPECT_EQ(back[i].partner, has_partner ? records[i].partner : kNoVertex)
+          << to_string(codec);
+    }
+  }
+}
+
+TEST(RecordShapes, UnknownMatchingKindIsRejected) {
+  // A synthetic Record with type 9 puts an unknown kind byte on the wire.
+  const auto frame = encode_records({Record{9, 1, 2, 3}}, WireCodec::kCompact);
+  EXPECT_THROW(for_each_record<MatchProcess::Record>(
+                   frame, [](const MatchProcess::Record&) {}),
+               Error);
 }
 
 }  // namespace

@@ -4,13 +4,13 @@
 #
 # SARIF artifacts (*.sarif) must (a) parse as JSON, (b) be a SARIF 2.1.0
 # log with exactly one run whose tool driver is pmc-lint, (c) declare
-# exactly the live rule set D1-D5, D8, D10 (the retired D6/D7/D9 are
-# enforced by types and compile-fail tests, so a driver still declaring
+# exactly the live rule set D1, D2, D3, D5, D10 (the retired D4/D6/D7/D8/D9
+# are enforced by types and compile-fail tests, so a driver still declaring
 # them is stale), (d) give every result a known ruleId, a message, and a
 # file:line location, and (e) contain no "error"-level result — an
 # unsuppressed or stale diagnostic in a committed artifact means the tree
 # and its lint ledger disagree. Suppressed findings must carry an inSource
-# suppression justification; baselined ones a baselineState.
+# suppression justification.
 #
 # JSON reports (*.json, pmc-lint --json output) must parse, identify the
 # tool, and count zero unsuppressed diagnostics.
@@ -34,7 +34,7 @@ python3 - "${artifacts[@]}" <<'EOF'
 import json
 import sys
 
-RULE_IDS = ["D1", "D2", "D3", "D4", "D5", "D8", "D10"]
+RULE_IDS = ["D1", "D2", "D3", "D5", "D10"]
 failures = 0
 
 
@@ -95,9 +95,9 @@ def check_sarif(path, doc):
             suppressed = any(s.get("kind") == "inSource" and
                              s.get("justification")
                              for s in res.get("suppressions", []))
-            if not suppressed and "baselineState" not in res:
-                fail(path, f"result {i}: note-level finding carries neither "
-                           f"an inSource justification nor a baselineState")
+            if not suppressed:
+                fail(path, f"result {i}: note-level finding carries no "
+                           f"inSource justification")
         else:
             fail(path, f"result {i}: unexpected level {level!r}")
     if errors:

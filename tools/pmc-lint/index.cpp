@@ -1,7 +1,7 @@
 // pmc-lint pass 1: the whole-program index. Walks every source's token
-// stream and records function definitions (with parameter names and body
-// token ranges), message-kind constants, and schema() comment bindings.
-// The cross-TU rules in global.cpp consume this; nothing here reports.
+// stream and records function definitions (name, line span and body token
+// range). The cross-TU rules in global.cpp consume this; nothing here
+// reports.
 #include <algorithm>
 #include <unordered_set>
 
@@ -103,62 +103,6 @@ std::size_t find_body_open(const Cursor& c, std::size_t i) {
   return 0;
 }
 
-/// Records the enumerators of `enum [class] Name ... { ... }` when Name
-/// looks like a message-kind enum, and constexpr k*Record/k*Tag/k*Msg
-/// constants.
-void collect_kinds(const Cursor& c, const std::string& path,
-                   ProgramIndex& index) {
-  auto kindish = [](const std::string& name) {
-    return name.find("Record") != std::string::npos ||
-           name.find("Kind") != std::string::npos ||
-           name.find("Tag") != std::string::npos ||
-           name.find("Msg") != std::string::npos;
-  };
-  for (std::size_t i = 0; i < c.toks.size(); ++i) {
-    const Token& t = c.toks[i];
-    if (!t.is_ident) continue;
-    if (t.text == "enum") {
-      std::size_t j = i + 1;
-      if (c.at(j).text == "class" || c.at(j).text == "struct") ++j;
-      if (!c.at(j).is_ident) continue;
-      const std::string enum_name = c.at(j).text;
-      if (!kindish(enum_name)) continue;
-      ++j;
-      while (j < c.toks.size() && c.at(j).text != "{" && c.at(j).text != ";") {
-        ++j;  // underlying type
-      }
-      if (c.at(j).text != "{") continue;
-      const std::size_t end = match_brace(c, j);
-      // Enumerators: identifiers at the start of each comma segment.
-      bool expect_name = true;
-      for (std::size_t k = j + 1; k < end; ++k) {
-        const Token& u = c.toks[k];
-        if (u.text == ",") {
-          expect_name = true;
-          continue;
-        }
-        if (expect_name && u.is_ident) {
-          index.kinds.emplace(u.text,
-                              KindInfo{u.text, enum_name, path, u.line});
-          expect_name = false;
-        }
-      }
-      i = end;
-    } else if (t.text == "constexpr") {
-      // constexpr ... kSomethingRecord = value;
-      for (std::size_t k = i + 1; k < c.toks.size(); ++k) {
-        const std::string& u = c.at(k).text;
-        if (u == ";" || u == "(" || u == "{") break;
-        if (c.toks[k].is_ident && c.at(k + 1).text == "=" &&
-            u.size() > 1 && u[0] == 'k' && kindish(u)) {
-          index.kinds.emplace(u, KindInfo{u, "", path, c.toks[k].line});
-          break;
-        }
-      }
-    }
-  }
-}
-
 void collect_functions(const Cursor& c, FileIndex& fi) {
   const std::unordered_set<std::string>& skip = non_function_words();
   for (std::size_t i = 0; i < c.toks.size(); ++i) {
@@ -191,30 +135,6 @@ void collect_functions(const Cursor& c, FileIndex& fi) {
   }
 }
 
-/// Binds each schema(Name) comment to the function containing its line, or
-/// to the next function below it (the annotate-above-the-header idiom).
-void bind_schemas(FileIndex& fi) {
-  for (const auto& [line, name] : fi.view.schemas) {
-    FunctionInfo* containing = nullptr;
-    FunctionInfo* next_below = nullptr;
-    for (FunctionInfo& fn : fi.functions) {
-      if (fn.line <= line && line <= fn.end_line) {
-        containing = &fn;
-        break;
-      }
-      if (fn.line > line && (next_below == nullptr ||
-                             fn.line < next_below->line)) {
-        next_below = &fn;
-      }
-    }
-    FunctionInfo* best = containing != nullptr ? containing : next_below;
-    if (best != nullptr && best->schema.empty()) {
-      best->schema = name;
-      best->schema_line = line;
-    }
-  }
-}
-
 }  // namespace
 
 ProgramIndex build_index(const std::vector<SourceFile>& sources) {
@@ -226,14 +146,12 @@ ProgramIndex build_index(const std::vector<SourceFile>& sources) {
     fi.view = strip(s.contents);
     fi.tokens = tokenize(fi.view.code);
     const Cursor c{fi.tokens};
-    collect_kinds(c, s.path, index);
     collect_functions(c, fi);
-    bind_schemas(fi);
     index.files.push_back(std::move(fi));
   }
   for (std::size_t f = 0; f < index.files.size(); ++f) {
-    // Functions sorted by position so "containing function" lookups and
-    // reference-encoder choices are deterministic.
+    // Functions sorted by position so "containing function" lookups are
+    // deterministic.
     std::sort(index.files[f].functions.begin(), index.files[f].functions.end(),
               [](const FunctionInfo& a, const FunctionInfo& b) {
                 return a.header_begin < b.header_begin;

@@ -22,14 +22,11 @@ struct Allow {
 };
 
 /// The comment/string-stripped view of a translation unit plus the
-/// pmc-lint comments (allow() suppressions, schema() bindings) found while
-/// stripping.
+/// allow() suppression comments found while stripping.
 struct SourceView {
   std::string code;  ///< Same length/lines as the input; literals blanked.
   /// Suppressions keyed by the line their comment starts on (1-based).
   std::unordered_map<int, Allow> allows;
-  /// schema(Name) bindings keyed by comment line (1-based).
-  std::unordered_map<int, std::string> schemas;
 };
 
 [[nodiscard]] SourceView strip(const std::string& text);
@@ -49,7 +46,8 @@ struct Token {
 
 // ---- per-file rule pass ----------------------------------------------------
 
-/// Runs the single-file rules D1-D5 over a pre-stripped, pre-tokenized view.
+/// Runs the single-file rules D1, D2, D3 and D5 over a pre-stripped,
+/// pre-tokenized view.
 [[nodiscard]] std::vector<Diagnostic> file_rules(const std::string& path,
                                                  const SourceView& view,
                                                  const std::vector<Token>& toks,
@@ -74,17 +72,6 @@ struct FunctionInfo {
   std::size_t header_begin = 0;  ///< Token index of the name.
   std::size_t body_begin = 0;    ///< Token index just past the opening '{'.
   std::size_t body_end = 0;      ///< Token index of the closing '}'.
-  std::string schema;  ///< schema(Name) binding, empty when unbound.
-  int schema_line = 0;
-};
-
-/// A message-kind constant: an enumerator of an enum whose name mentions
-/// Record/Kind/Tag/Msg, or a constexpr constant named like one.
-struct KindInfo {
-  std::string name;       ///< Enumerator / constant name ("kRequest").
-  std::string enum_name;  ///< Owning enum, empty for bare constants.
-  std::string file;
-  int line = 0;
 };
 
 struct FileIndex {
@@ -96,9 +83,6 @@ struct FileIndex {
 
 struct ProgramIndex {
   std::vector<FileIndex> files;
-  /// Kind constants by bare name. A name declared twice with different
-  /// owners keeps the first declaration (usage must still qualify-match).
-  std::map<std::string, KindInfo> kinds;
   /// Function name -> (file index, function index) of every definition.
   std::map<std::string, std::vector<std::pair<std::size_t, std::size_t>>>
       by_name;
@@ -106,8 +90,7 @@ struct ProgramIndex {
 
 [[nodiscard]] ProgramIndex build_index(const std::vector<SourceFile>& sources);
 
-/// Pass 2: the cross-TU rules (D8 schema symmetry, helper-indirection
-/// propagation for D1-D5) plus the D10
+/// Pass 2: helper-indirection propagation for D1-D5 plus the D10
 /// stale-suppression audit over `diags` (every diagnostic already produced,
 /// including the per-file pass — allow consumption is read off allow_line).
 /// Appends its findings to `diags`.

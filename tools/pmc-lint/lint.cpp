@@ -4,7 +4,6 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -23,37 +22,26 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-/// Parses "pmc-lint: allow(D1,D2): reason" or "pmc-lint: schema(Name)" out
-/// of one comment's text.
+/// Parses "pmc-lint: allow(D1,D2): reason" out of one comment's text.
 void parse_marker(const std::string& comment, int line, SourceView& view) {
   const std::size_t tag = comment.find("pmc-lint:");
   if (tag == std::string::npos) return;
   std::size_t p = comment.find("allow(", tag);
-  if (p != std::string::npos) {
-    p += 6;
-    const std::size_t close = comment.find(')', p);
-    if (close == std::string::npos) return;
-    Allow allow;
-    std::stringstream rules(comment.substr(p, close - p));
-    std::string rule;
-    while (std::getline(rules, rule, ',')) {
-      rule = trim(rule);
-      if (!rule.empty()) allow.rules.insert(rule);
-    }
-    std::string rest = trim(comment.substr(close + 1));
-    if (!rest.empty() && rest.front() == ':') rest = trim(rest.substr(1));
-    allow.justification = rest;
-    if (!allow.rules.empty()) view.allows[line] = allow;
-    return;
+  if (p == std::string::npos) return;
+  p += 6;
+  const std::size_t close = comment.find(')', p);
+  if (close == std::string::npos) return;
+  Allow allow;
+  std::stringstream rules(comment.substr(p, close - p));
+  std::string rule;
+  while (std::getline(rules, rule, ',')) {
+    rule = trim(rule);
+    if (!rule.empty()) allow.rules.insert(rule);
   }
-  p = comment.find("schema(", tag);
-  if (p != std::string::npos) {
-    p += 7;
-    const std::size_t close = comment.find(')', p);
-    if (close == std::string::npos) return;
-    const std::string name = trim(comment.substr(p, close - p));
-    if (!name.empty()) view.schemas[line] = name;
-  }
+  std::string rest = trim(comment.substr(close + 1));
+  if (!rest.empty() && rest.front() == ':') rest = trim(rest.substr(1));
+  allow.justification = rest;
+  if (!allow.rules.empty()) view.allows[line] = allow;
 }
 
 bool ident_start(char c) {
@@ -66,7 +54,7 @@ bool ident_char(char c) {
 }  // namespace
 
 /// Blanks comments and string/char literals (preserving newlines so line
-/// numbers survive) and records pmc-lint allow()/schema() comments.
+/// numbers survive) and records pmc-lint allow() comments.
 SourceView strip(const std::string& text) {
   SourceView view;
   view.code.reserve(text.size());
@@ -251,7 +239,6 @@ class Analyzer {
     collect_declared_vars();
     check_banned_calls();
     check_range_loops();
-    check_decoder_scopes();
     std::sort(diags_.begin(), diags_.end(),
               [](const Diagnostic& a, const Diagnostic& b) {
                 if (a.line != b.line) return a.line < b.line;
@@ -450,63 +437,6 @@ class Analyzer {
     }
   }
 
-  /// D4: every FrameReader/ByteReader that decodes records must check
-  /// done() before its scope ends.
-  void check_decoder_scopes() {
-    struct Decoder {
-      std::string var;
-      int decl_line = 0;
-      int depth = 0;
-      bool reads = false;
-      bool done_checked = false;
-    };
-    std::vector<Decoder> open;
-    int depth = 0;
-    auto close_deeper_than = [&](int d) {
-      for (auto it = open.begin(); it != open.end();) {
-        if (it->depth > d) {
-          if (it->reads && !it->done_checked) {
-            report("D4", it->decl_line,
-                   "decoder '" + it->var +
-                       "' reads records but never checks done() — trailing "
-                       "garbage would pass silently; end every decode loop "
-                       "with PMC_CHECK(reader.done(), ...)");
-          }
-          it = open.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    };
-    for (std::size_t i = 0; i < tokens_.size(); ++i) {
-      const Token& t = tokens_[i];
-      if (t.text == "{") ++depth;
-      if (t.text == "}") {
-        --depth;
-        close_deeper_than(depth);
-      }
-      if (!t.is_ident) continue;
-      if ((t.text == "FrameReader" || t.text == "ByteReader") &&
-          tok(i + 1).is_ident && tok(i + 2).text == "(") {
-        open.push_back({tok(i + 1).text, tok(i + 1).line, depth, false,
-                        false});
-        continue;
-      }
-      // reader.read_id() / reader.get<T>() / reader.done()
-      if ((tok(i + 1).text == "." || tok(i + 1).text == "->") &&
-          tok(i + 2).is_ident) {
-        for (auto it = open.rbegin(); it != open.rend(); ++it) {
-          if (it->var != t.text) continue;
-          const std::string& m = tok(i + 2).text;
-          if (m.rfind("read_", 0) == 0 || m == "get") it->reads = true;
-          if (m == "done") it->done_checked = true;
-          break;
-        }
-      }
-    }
-    close_deeper_than(-1);
-  }
-
   std::string path_;
   RuleScope scope_;
   const std::unordered_map<int, Allow>& allows_;
@@ -537,7 +467,7 @@ bool starts_with(const std::string& s, const std::string& prefix) {
 
 RuleScope scope_for_path(const std::string& path) {
   const std::string p = internal::normalize_path(path);
-  RuleScope scope;  // d4 defaults on everywhere
+  RuleScope scope;
   if (!starts_with(p, "src/")) return scope;
   scope.d5 = true;
   scope.d2 = !(starts_with(p, "src/support/rng.") ||
@@ -546,14 +476,11 @@ RuleScope scope_for_path(const std::string& path) {
   scope.d1 = starts_with(p, "src/matching/") ||
              starts_with(p, "src/coloring/") ||
              starts_with(p, "src/runtime/");
-  // The codec implements the accessors: the one place D8's pattern is the
-  // point.
-  scope.d8 = !starts_with(p, "src/runtime/serialize.");
   return scope;
 }
 
 RuleScope all_rules() {
-  return RuleScope{true, true, true, true, true, true};
+  return RuleScope{true, true, true, true};
 }
 
 std::vector<Diagnostic> analyze_source(const std::string& path,
@@ -710,27 +637,21 @@ std::string json_escape(const std::string& s) {
 
 std::string to_json(const std::vector<Diagnostic>& diags,
                     std::size_t files_scanned) {
-  std::size_t suppressed = 0, baselined = 0;
-  for (const auto& d : diags) {
-    suppressed += d.suppressed ? 1 : 0;
-    baselined += (!d.suppressed && d.baselined) ? 1 : 0;
-  }
+  std::size_t suppressed = 0;
+  for (const auto& d : diags) suppressed += d.suppressed ? 1 : 0;
   std::ostringstream os;
   os << "{\n  \"tool\": \"pmc-lint\",\n  \"version\": 2,\n"
      << "  \"files_scanned\": " << files_scanned << ",\n"
      << "  \"total\": " << diags.size() << ",\n"
      << "  \"suppressed\": " << suppressed << ",\n"
-     << "  \"baselined\": " << baselined << ",\n"
-     << "  \"unsuppressed\": " << diags.size() - suppressed - baselined
-     << ",\n"
+     << "  \"unsuppressed\": " << diags.size() - suppressed << ",\n"
      << "  \"diagnostics\": [";
   for (std::size_t i = 0; i < diags.size(); ++i) {
     const Diagnostic& d = diags[i];
     os << (i == 0 ? "" : ",") << "\n    {\"rule\": \"" << json_escape(d.rule)
        << "\", \"file\": \"" << json_escape(d.file)
        << "\", \"line\": " << d.line << ", \"suppressed\": "
-       << (d.suppressed ? "true" : "false") << ", \"baselined\": "
-       << (d.baselined ? "true" : "false") << ", \"justification\": \""
+       << (d.suppressed ? "true" : "false") << ", \"justification\": \""
        << json_escape(d.justification) << "\", \"message\": \""
        << json_escape(d.message) << "\"}";
   }
@@ -738,52 +659,10 @@ std::string to_json(const std::vector<Diagnostic>& diags,
   return os.str();
 }
 
-std::string fingerprint(const Diagnostic& d) {
-  std::ostringstream os;
-  os << d.rule << '|' << internal::normalize_path(d.file) << '|' << d.line;
-  return os.str();
-}
-
-std::set<std::string> load_baseline(const std::string& path) {
-  std::istringstream in(slurp(path));
-  std::set<std::string> out;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    std::size_t b = 0, e = line.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(line[b]))) ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(line[e - 1]))) --e;
-    if (e > b) out.insert(line.substr(b, e - b));
-  }
-  return out;
-}
-
-std::string write_baseline(const ProgramReport& report) {
-  std::set<std::string> fps;
-  for (const Diagnostic& d : report.diagnostics) {
-    if (!d.suppressed) fps.insert(fingerprint(d));
-  }
-  std::ostringstream os;
-  os << "# pmc-lint baseline: known findings tolerated by --baseline runs.\n"
-     << "# Regenerate with --write-baseline after burning entries down.\n";
-  for (const std::string& fp : fps) os << fp << '\n';
-  return os.str();
-}
-
-void apply_baseline(ProgramReport& report,
-                    const std::set<std::string>& baseline) {
-  for (Diagnostic& d : report.diagnostics) {
-    if (!d.suppressed && baseline.count(fingerprint(d)) != 0) {
-      d.baselined = true;
-    }
-  }
-}
-
 std::size_t failing_count(const ProgramReport& report) {
   std::size_t n = 0;
   for (const Diagnostic& d : report.diagnostics) {
-    if (!d.suppressed && !d.baselined) ++n;
+    if (!d.suppressed) ++n;
   }
   return n;
 }

@@ -12,12 +12,11 @@
 // without a justification text does not count.
 //
 // v2 runs in two passes. Pass 1 indexes every function definition in the
-// scanned sources (name, file:line, calls made, typed-accessor sequences,
-// message-kind constants). Pass 2 runs the per-file rules D1-D5, then the
-// whole-program rules D8 and D10 over the index, and finally lets D1-D5
-// propagate through one level of helper indirection via the call graph
-// (a helper whose own file hides a banned pattern from its scope taints
-// every call site where the rule is live).
+// scanned sources (name, file:line, body tokens). Pass 2 runs the per-file
+// rules D1, D2, D3 and D5, lets them propagate through one level of helper
+// indirection via the call graph (a helper whose own file hides a banned
+// pattern from its scope taints every call site where the rule is live),
+// and finally runs the D10 audit over the whole run.
 //
 // Rules (scopes are path predicates relative to the repo root):
 //
@@ -32,28 +31,18 @@
 //   D3  no raw memcpy / reinterpret_cast serialization outside
 //       src/runtime/serialize.* — wire traffic goes through the versioned,
 //       checksummed frame codec.
-//   D4  every FrameReader/ByteReader decode loop must end with a done()
-//       check, so trailing garbage is rejected instead of silently ignored.
 //   D5  no float/double accumulation inside an unordered-container
 //       range-iteration anywhere in src/ — FP addition is order-sensitive,
 //       so a hash-order reduction is silently nondeterministic.
-//   D8  encode/decode schema symmetry (cross-TU, src/ minus serialize.*):
-//       for each message kind, every decoder's typed read_* sequence must
-//       mirror every encoder's put_* sequence in type and order. Message
-//       kinds are enumerators of enums named *Record*/*Kind*/*Tag*/*Msg*
-//       and constexpr constants named k*Record/k*Tag/k*Msg; functions whose
-//       accessor sequences are not tied to a kind bind to a named schema
-//       with `// pmc-lint: schema(Name)` and are checked against every
-//       other function bound to the same name.
-//   D6, D7, D9 are reserved: the runtime's types enforce those invariants
-//       now (DESIGN.md §7, tests/compile_fail/).
+//   D4, D6, D7, D8 and D9 are reserved: the runtime's types enforce those
+//       invariants now (DESIGN.md §7, tests/compile_fail/). Records encode
+//       and decode only through their one fields() list, and the decoder
+//       checks for trailing bytes itself (src/runtime/serialize.hpp).
 //   D10 stale-suppression audit (whole run): an allow() comment that no
-//       longer suppresses any diagnostic — and a schema() annotation bound
-//       to a function with no accessor calls — fails the build, keeping the
+//       longer suppresses any diagnostic fails the build, keeping the
 //       suppression ledger honest.
 #pragma once
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -72,9 +61,6 @@ struct Diagnostic {
   /// when rejected for a missing justification); 0 when none did. The D10
   /// audit reads consumption off this field.
   int allow_line = 0;
-  /// True when a --baseline file lists this finding (ratchet mode): it is
-  /// reported but does not fail the run.
-  bool baselined = false;
 };
 
 /// Which rule families apply to a file, derived from its path. D10 is a
@@ -83,9 +69,7 @@ struct RuleScope {
   bool d1 = false;  ///< Message-producing code (matching/coloring/runtime).
   bool d2 = false;  ///< Everything except the entropy allowlist.
   bool d3 = false;  ///< Everything except serialize.*.
-  bool d4 = true;   ///< Decoder hygiene applies everywhere.
   bool d5 = false;  ///< All of src/.
-  bool d8 = false;  ///< Protocol schema symmetry (src/ sans serialize.*).
 };
 
 /// Scope for a path as the CI lint run uses it: `path` is normalized to the
@@ -96,10 +80,10 @@ struct RuleScope {
 /// can be exercised regardless of where the fixture file lives.
 [[nodiscard]] RuleScope all_rules();
 
-/// Runs every in-scope *per-file* rule (D1-D5) over one file's contents.
-/// `path` is used for diagnostics only; scoping is the caller's job
-/// (scope_for_path). The cross-TU rules D8/D10 and helper propagation need
-/// the whole-program view: use analyze_program.
+/// Runs every in-scope *per-file* rule (D1, D2, D3, D5) over one file's
+/// contents. `path` is used for diagnostics only; scoping is the caller's
+/// job (scope_for_path). Helper propagation and the D10 audit need the
+/// whole-program view: use analyze_program.
 [[nodiscard]] std::vector<Diagnostic> analyze_source(
     const std::string& path, const std::string& contents,
     const RuleScope& scope);
@@ -123,9 +107,6 @@ struct SourceFile {
 struct ProgramOptions {
   /// Every rule on for every file (fixture mode) instead of scope_for_path.
   bool all_rules = false;
-  /// Run the D10 stale-suppression audit (on for CI; fixture tests that
-  /// deliberately carry non-matching allows turn it off).
-  bool audit_suppressions = true;
 };
 
 struct ProgramReport {
@@ -133,9 +114,8 @@ struct ProgramReport {
   std::size_t files_scanned = 0;
 };
 
-/// The two-pass analysis: per-file rules, then the cross-TU rules over the
-/// whole-program index (D8 schema symmetry, one-level helper propagation
-/// for D1-D5), then the D10 suppression audit.
+/// The two-pass analysis: per-file rules, then one-level helper propagation
+/// for D1-D5 over the whole-program index, then the D10 suppression audit.
 [[nodiscard]] ProgramReport analyze_program(
     const std::vector<SourceFile>& sources, const ProgramOptions& opts);
 
@@ -160,35 +140,17 @@ struct ProgramReport {
 [[nodiscard]] std::vector<std::string> compile_commands_sources(
     const std::vector<std::string>& json_paths);
 
-// ---- reports & baseline ----------------------------------------------------
+// ---- reports ---------------------------------------------------------------
 
 /// Serializes a run's findings as the machine-readable JSON report.
 [[nodiscard]] std::string to_json(const std::vector<Diagnostic>& diags,
                                   std::size_t files_scanned);
 
-/// Serializes a run as a SARIF 2.1.0 log (one run, tool driver "pmc-lint",
-/// suppressed findings carry an inSource suppression object, baselined ones
-/// baselineState "unchanged").
+/// Serializes a run as a SARIF 2.1.0 log (one run, tool driver "pmc-lint";
+/// suppressed findings carry an inSource suppression object).
 [[nodiscard]] std::string to_sarif(const ProgramReport& report);
 
-/// Stable identity of a finding for the --baseline ratchet:
-/// "rule|normalized-file|line".
-[[nodiscard]] std::string fingerprint(const Diagnostic& d);
-
-/// One fingerprint per line; '#' comments and blank lines ignored. Throws
-/// on unreadable input.
-[[nodiscard]] std::set<std::string> load_baseline(const std::string& path);
-
-/// The baseline file content for a report: the fingerprints of its
-/// unsuppressed findings, sorted, one per line.
-[[nodiscard]] std::string write_baseline(const ProgramReport& report);
-
-/// Marks every unsuppressed diagnostic whose fingerprint the baseline lists
-/// as `baselined` (reported, but not a failure).
-void apply_baseline(ProgramReport& report,
-                    const std::set<std::string>& baseline);
-
-/// Unsuppressed, non-baselined findings — the run fails when nonzero.
+/// Unsuppressed findings — the run fails when nonzero.
 [[nodiscard]] std::size_t failing_count(const ProgramReport& report);
 
 }  // namespace pmc_lint

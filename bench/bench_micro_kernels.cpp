@@ -2,6 +2,9 @@
 // building blocks whose costs calibrate the simulated machine model.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/pmc.hpp"
 
 namespace pmc {
@@ -73,6 +76,35 @@ void BM_DistGraphBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DistGraphBuild)->Unit(benchmark::kMillisecond);
+
+// One service write step: apply a 16-update batch, then snapshot the graph.
+// Batches come from one pre-generated stream; when it runs out, the graph
+// restarts from the initial grid outside the timed region.
+void BM_DynamicGraphSnapshot(benchmark::State& state) {
+  constexpr std::int64_t kBatch = 16;
+  constexpr std::int64_t kBatches = 1024;
+  const Graph& g = shared_grid();
+  UpdateStreamConfig cfg;
+  cfg.seed = 75;
+  UpdateStreamGenerator gen(g, cfg);
+  const std::vector<EdgeUpdate> stream = gen.next_batch(kBatch * kBatches);
+  auto dyn = std::make_unique<DynamicGraph>(g);
+  std::int64_t batch = 0;
+  for (auto _ : state) {
+    if (batch == kBatches) {
+      state.PauseTiming();
+      dyn = std::make_unique<DynamicGraph>(g);
+      batch = 0;
+      state.ResumeTiming();
+    }
+    const auto first = static_cast<std::size_t>(batch * kBatch);
+    for (std::size_t i = first; i < first + kBatch; ++i) dyn->apply(stream[i]);
+    benchmark::DoNotOptimize(dyn->snapshot());
+    ++batch;
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_DynamicGraphSnapshot)->Unit(benchmark::kMillisecond);
 
 void BM_DistributedMatchingSim(benchmark::State& state) {
   const Graph& g = shared_grid();

@@ -96,8 +96,10 @@ stress() {
 
 asan() {
   echo "==== sanitizers: ASan+UBSan on runtime + distributed tests ===="
+  # _GLIBCXX_ASSERTIONS bounds-checks std::vector::operator[]: ASan alone
+  # misses an index past size() that stays inside the vector's capacity.
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   # The fabric/engine layer and every simulated distributed algorithm —
   # the code that moves raw bytes around and is worth sanitizing hardest.

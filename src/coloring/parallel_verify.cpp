@@ -1,13 +1,11 @@
 #include "coloring/parallel_verify.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "runtime/bsp_engine.hpp"
 #include "runtime/serialize.hpp"
 #include "support/error.hpp"
-#include "support/sorted.hpp"
 #include "support/timer.hpp"
 
 namespace pmc {
@@ -26,7 +24,8 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
   // Boundary color exchange.
   engine.run_ranks([&](BspEngine::RankCtx& ctx) {
     const LocalGraph& lg = dist.local(ctx.rank());
-    std::unordered_map<Rank, FrameWriter> out;
+    const std::vector<Rank>& dests = lg.neighbor_ranks();
+    std::vector<FrameWriter> out(dests.size(), FrameWriter(codec));
     std::vector<Rank> scratch;
     for (const VertexId v : lg.boundary_vertices()) {
       const VertexId gv = lg.global_id(v);
@@ -39,17 +38,17 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
       scratch.erase(std::unique(scratch.begin(), scratch.end()),
                     scratch.end());
       for (Rank dst : scratch) {
-        out.try_emplace(dst, FrameWriter(codec))
-            .first->second.append(
-                ColorRecord{gv, c.color[static_cast<std::size_t>(gv)]});
+        const auto i = std::lower_bound(dests.begin(), dests.end(), dst) -
+                       dests.begin();
+        out[static_cast<std::size_t>(i)].append(
+            ColorRecord{gv, c.color[static_cast<std::size_t>(gv)]});
       }
     }
-    // Ship in ascending destination order (D1): hash-order sends would tie
-    // the message sequence to the unordered map's bucket layout.
-    for (const Rank dst : sorted_keys(out)) {
-      FrameWriter& writer = out.at(dst);
-      const std::int64_t records = writer.records();
-      ctx.send(dst, writer.take(), records);
+    // Ship in ascending destination order (neighbor_ranks() is sorted).
+    for (std::size_t i = 0; i < dests.size(); ++i) {
+      if (out[i].empty()) continue;
+      const std::int64_t records = out[i].records();
+      ctx.send(dests[i], out[i].take(), records);
     }
   });
   engine.barrier();
@@ -59,10 +58,10 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
     const Rank r = ctx.rank();
     const LocalGraph& lg = dist.local(r);
     std::int64_t& mine = violations[static_cast<std::size_t>(r)];
-    std::unordered_map<VertexId, Color> ghost_color;
+    GhostValues<Color> ghost_color(lg);
     for (const BspMessage& msg : ctx.drain()) {
       for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
-        ghost_color[rec.vertex] = rec.color;
+        ghost_color.store(rec.vertex, rec.color);
       });
     }
     for (VertexId v = 0; v < lg.num_owned(); ++v) {
@@ -76,15 +75,9 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
       for (VertexId u : lg.neighbors(v)) {
         const VertexId gu = lg.global_id(u);
         if (gv >= gu) continue;  // count each edge once
-        Color cu;
-        if (lg.is_ghost(u)) {
-          const auto it = ghost_color.find(gu);
-          PMC_CHECK(it != ghost_color.end(),
-                    "boundary exchange missed ghost " << gu);
-          cu = it->second;
-        } else {
-          cu = c.color[static_cast<std::size_t>(gu)];
-        }
+        const Color cu = lg.is_ghost(u)
+                             ? ghost_color.at(u)
+                             : c.color[static_cast<std::size_t>(gu)];
         if (cu == cv) ++mine;
       }
     }

@@ -77,13 +77,13 @@ Graph GraphBuilder::build() && {
     if (weighted_) weights[cv] = e.w;
   }
 
+  std::vector<std::pair<VertexId, Weight>> tmp;  // one row's sort buffer
   for (VertexId v = 0; v < num_vertices_; ++v) {
     const auto begin = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v)]);
     const auto end = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v) + 1]);
     if (weighted_) {
       // Sort (neighbor, weight) pairs together.
-      std::vector<std::pair<VertexId, Weight>> tmp;
-      tmp.reserve(end - begin);
+      tmp.clear();
       for (std::size_t i = begin; i < end; ++i) {
         tmp.emplace_back(adj[i], weights[i]);
       }

@@ -1,13 +1,11 @@
 #include "matching/parallel_verify.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "runtime/bsp_engine.hpp"
 #include "runtime/serialize.hpp"
 #include "support/error.hpp"
-#include "support/sorted.hpp"
 #include "support/timer.hpp"
 
 namespace pmc {
@@ -27,7 +25,8 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
   // each neighboring rank — the information receivers need about ghosts.
   engine.run_ranks([&](BspEngine::RankCtx& ctx) {
     const LocalGraph& lg = dist.local(ctx.rank());
-    std::unordered_map<Rank, FrameWriter> out;
+    const std::vector<Rank>& dests = lg.neighbor_ranks();
+    std::vector<FrameWriter> out(dests.size(), FrameWriter(codec));
     std::vector<Rank> scratch_ranks;
     for (const VertexId v : lg.boundary_vertices()) {
       const VertexId gv = lg.global_id(v);
@@ -42,16 +41,16 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
           std::unique(scratch_ranks.begin(), scratch_ranks.end()),
           scratch_ranks.end());
       for (Rank dst : scratch_ranks) {
-        out.try_emplace(dst, FrameWriter(codec))
-            .first->second.append(MateRecord{gv, mate});
+        const auto i = std::lower_bound(dests.begin(), dests.end(), dst) -
+                       dests.begin();
+        out[static_cast<std::size_t>(i)].append(MateRecord{gv, mate});
       }
     }
-    // Ship in ascending destination order (D1): hash-order sends would tie
-    // the message sequence to the unordered map's bucket layout.
-    for (const Rank dst : sorted_keys(out)) {
-      FrameWriter& writer = out.at(dst);
-      const std::int64_t records = writer.records();
-      ctx.send(dst, writer.take(), records);
+    // Ship in ascending destination order (neighbor_ranks() is sorted).
+    for (std::size_t i = 0; i < dests.size(); ++i) {
+      if (out[i].empty()) continue;
+      const std::int64_t records = out[i].records();
+      ctx.send(dests[i], out[i].take(), records);
     }
   });
   engine.barrier();
@@ -63,21 +62,17 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
     std::int64_t& mine = violations[static_cast<std::size_t>(r)];
     const LocalGraph& lg = dist.local(r);
     // Ghost mate table from the received records.
-    std::unordered_map<VertexId, VertexId> ghost_mate;
+    GhostValues<VertexId> ghost_mate(lg);
     for (const BspMessage& msg : ctx.drain()) {
       for_each_record<MateRecord>(msg.payload, [&](const MateRecord& rec) {
-        ghost_mate[rec.vertex] = rec.mate;
+        ghost_mate.store(rec.vertex, rec.mate);
       });
     }
     auto mate_of_local = [&](VertexId local) {
-      const VertexId global = lg.global_id(local);
       if (!lg.is_ghost(local)) {
-        return m.mate[static_cast<std::size_t>(global)];
+        return m.mate[static_cast<std::size_t>(lg.global_id(local))];
       }
-      const auto it = ghost_mate.find(global);
-      PMC_CHECK(it != ghost_mate.end(),
-                "boundary exchange missed ghost " << global);
-      return it->second;
+      return ghost_mate.at(local);
     };
 
     for (VertexId v = 0; v < lg.num_owned(); ++v) {

@@ -6,88 +6,113 @@
 
 namespace pmc {
 
+void LocalGraph::build_index() {
+  const std::size_t n = global_ids_.size();
+  const std::size_t slots = n + n / 3 + 1;  // at most 3/4 full
+  index_.assign(slots, kEmptySlot);
+  for (std::size_t local = 0; local < n; ++local) {
+    std::size_t s = home_slot(global_ids_[local]);
+    while (index_[s] != kEmptySlot) s = s + 1 == slots ? 0 : s + 1;
+    index_[s] = static_cast<std::uint32_t>(local);
+  }
+}
+
 DistGraph DistGraph::build(const Graph& g, const Partition& p) {
   PMC_REQUIRE(p.num_vertices() == g.num_vertices(),
               "graph/partition size mismatch: " << g.num_vertices() << " vs "
                                                 << p.num_vertices());
   DistGraph dist;
-  dist.num_global_vertices_ = g.num_vertices();
+  const VertexId n = g.num_vertices();
+  dist.num_global_vertices_ = n;
   const Rank parts = p.num_parts();
   dist.locals_.resize(static_cast<std::size_t>(parts));
 
-  // Pass 1: assign owned local ids in global-id order per rank.
+  // Pass 1: assign owned local ids in global-id order per rank. slot[v]
+  // holds v's local id on its owner.
+  std::vector<std::uint32_t> slot(static_cast<std::size_t>(n));
   for (Rank r = 0; r < parts; ++r) {
     dist.locals_[static_cast<std::size_t>(r)].rank_ = r;
   }
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+  for (VertexId v = 0; v < n; ++v) {
     auto& lg = dist.locals_[static_cast<std::size_t>(p.owner(v))];
-    const auto local = static_cast<VertexId>(lg.global_ids_.size());
+    slot[static_cast<std::size_t>(v)] =
+        static_cast<std::uint32_t>(lg.global_ids_.size());
     lg.global_ids_.push_back(v);
-    lg.global_to_local_.emplace(v, local);
-  }
-  for (auto& lg : dist.locals_) {
-    lg.num_owned_ = static_cast<VertexId>(lg.global_ids_.size());
   }
 
-  // Pass 2: build per-rank CSR over owned vertices, discovering ghosts.
-  for (auto& lg : dist.locals_) {
-    lg.offsets_.assign(static_cast<std::size_t>(lg.num_owned_) + 1, 0);
-    lg.is_boundary_.assign(static_cast<std::size_t>(lg.num_owned_), false);
-  }
-  // Degree counting.
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    auto& lg = dist.locals_[static_cast<std::size_t>(p.owner(v))];
-    const VertexId lv = lg.global_to_local_.at(v);
-    lg.offsets_[static_cast<std::size_t>(lv) + 1] = g.degree(v);
-  }
-  for (auto& lg : dist.locals_) {
-    for (std::size_t i = 1; i < lg.offsets_.size(); ++i) {
-      lg.offsets_[i] += lg.offsets_[i - 1];
+  // Pass 2: per-rank CSR arrays over the owned vertices. Arrays are
+  // allocated kind by kind across the ranks, and pass 4's at their final
+  // size: allocating them rank by rank fragmented the heap enough to raise
+  // pmcbench circuit-highcut's peak RSS by 6%, though fewer bytes were live.
+  for (LocalGraph& lg : dist.locals_) {
+    lg.num_owned_ = static_cast<VertexId>(lg.global_ids_.size());
+    const auto owned = static_cast<std::size_t>(lg.num_owned_);
+    lg.offsets_.assign(owned + 1, 0);
+    for (std::size_t lv = 0; lv < owned; ++lv) {
+      lg.offsets_[lv + 1] = lg.offsets_[lv] + g.degree(lg.global_ids_[lv]);
     }
+    lg.is_boundary_.assign(owned, false);
+  }
+  for (LocalGraph& lg : dist.locals_) {
     lg.adj_.resize(static_cast<std::size_t>(lg.offsets_.back()));
     if (g.has_weights()) lg.weights_.resize(lg.adj_.size());
   }
 
-  // Fill adjacency; create ghosts on demand.
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const Rank rv = p.owner(v);
-    auto& lg = dist.locals_[static_cast<std::size_t>(rv)];
-    const VertexId lv = lg.global_to_local_.at(v);
-    auto cursor = static_cast<std::size_t>(
-        lg.offsets_[static_cast<std::size_t>(lv)]);
-    const auto nbrs = g.neighbors(v);
-    const auto ws = g.weights(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId u = nbrs[i];
-      const Rank ru = p.owner(u);
-      VertexId lu;
-      if (ru == rv) {
-        lu = lg.global_to_local_.at(u);
-      } else {
-        const auto it = lg.global_to_local_.find(u);
-        if (it != lg.global_to_local_.end()) {
-          lu = it->second;
-        } else {
-          lu = static_cast<VertexId>(lg.global_ids_.size());
-          lg.global_ids_.push_back(u);
-          lg.global_to_local_.emplace(u, lu);
-          lg.ghost_owner_.push_back(ru);
+  // Pass 3, rank by rank: fill the adjacency, creating ghosts in first-visit
+  // order. While a rank is filled, slot[u] of each of its ghosts u holds
+  // kGhostBit | u's local id there; the owner-side value it displaced is
+  // kept in `displaced` and restored before the next rank.
+  constexpr std::uint32_t kGhostBit = std::uint32_t{1} << 31;
+  std::vector<std::uint32_t> displaced;
+  for (LocalGraph& lg : dist.locals_) {
+    const auto owned = static_cast<std::size_t>(lg.num_owned_);
+    for (std::size_t lv = 0; lv < owned; ++lv) {
+      const VertexId v = lg.global_ids_[lv];
+      auto cursor = static_cast<std::size_t>(lg.offsets_[lv]);
+      const auto nbrs = g.neighbors(v);
+      const auto ws = g.weights(v);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        const VertexId u = nbrs[i];
+        const Rank ru = p.owner(u);
+        std::uint32_t& s = slot[static_cast<std::size_t>(u)];
+        if (ru != lg.rank_) {
+          if ((s & kGhostBit) == 0) {
+            displaced.push_back(s);
+            s = kGhostBit | static_cast<std::uint32_t>(lg.global_ids_.size());
+            lg.global_ids_.push_back(u);
+            lg.ghost_owner_.push_back(ru);
+          }
+          lg.is_boundary_[lv] = true;
+          ++lg.cross_edges_;
         }
-        lg.is_boundary_[static_cast<std::size_t>(lv)] = true;
-        ++lg.cross_edges_;
+        lg.adj_[cursor] = static_cast<VertexId>(s & ~kGhostBit);
+        if (g.has_weights()) lg.weights_[cursor] = ws[i];
+        ++cursor;
       }
-      lg.adj_[cursor] = lu;
-      if (g.has_weights()) lg.weights_[cursor] = ws[i];
-      ++cursor;
     }
+    for (std::size_t i = 0; i < displaced.size(); ++i) {
+      slot[static_cast<std::size_t>(lg.global_ids_[owned + i])] = displaced[i];
+    }
+    displaced.clear();
+    PMC_CHECK(lg.global_ids_.size() <= kGhostBit,
+              "rank " << lg.rank_ << " holds more than 2^31 vertices");
   }
 
-  // Pass 3: derived structures.
-  for (auto& lg : dist.locals_) {
-    std::vector<Rank> nbr(lg.ghost_owner_.begin(), lg.ghost_owner_.end());
-    std::sort(nbr.begin(), nbr.end());
-    nbr.erase(std::unique(nbr.begin(), nbr.end()), nbr.end());
-    lg.neighbor_ranks_ = std::move(nbr);
+  // Pass 4: the global -> local index and the derived structures, each
+  // allocated at its final size. The scratch array is released first, so
+  // they can reuse its pages.
+  std::vector<std::uint32_t>().swap(slot);
+  std::vector<Rank> ranks;
+  for (LocalGraph& lg : dist.locals_) {
+    lg.build_index();
+    ranks.assign(lg.ghost_owner_.begin(), lg.ghost_owner_.end());
+    std::sort(ranks.begin(), ranks.end());
+    ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+    lg.neighbor_ranks_.assign(ranks.begin(), ranks.end());
+    const auto boundary = static_cast<std::size_t>(
+        std::count(lg.is_boundary_.begin(), lg.is_boundary_.end(), true));
+    lg.boundary_.reserve(boundary);
+    lg.interior_.reserve(lg.is_boundary_.size() - boundary);
     for (VertexId lv = 0; lv < lg.num_owned_; ++lv) {
       if (lg.is_boundary_[static_cast<std::size_t>(lv)]) {
         lg.boundary_.push_back(lv);
@@ -120,6 +145,10 @@ void DistGraph::validate(const Graph& g, const Partition& p) const {
                 "ownership mismatch at rank " << r << " local " << lv);
     }
     cross_total += lg.num_cross_edges();
+    for (VertexId l = 0; l < lg.num_local(); ++l) {
+      PMC_CHECK(lg.local_id(lg.global_id(l)) == l,
+                "global -> local index misses local " << l << " at rank " << r);
+    }
     for (VertexId gi = lg.num_owned(); gi < lg.num_local(); ++gi) {
       const Rank owner = lg.ghost_owner(gi);
       PMC_CHECK(owner != r, "ghost owned by its own rank");

@@ -11,14 +11,21 @@
 //   * ghost vertices (local ids [num_owned, num_local)) with their global id
 //     and owning rank but no adjacency;
 //   * the interior/boundary classification of owned vertices and the sorted
-//     list of neighboring ranks.
+//     list of neighboring ranks;
+//   * the global -> local index: an open-addressing table of 32-bit local
+//     ids with linear probing, keyed by the global id each slot's local id
+//     names in the global-id array. It is sized once, at build time, to the
+//     rank's local vertex count plus a third (at most 3/4 full), so it costs
+//     4 bytes x 4/3 per local vertex on top of that array, and a lookup is
+//     one hash plus a short probe run.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
 #include "partition/partition.hpp"
+#include "support/error.hpp"
 #include "support/types.hpp"
 
 namespace pmc {
@@ -45,8 +52,13 @@ class LocalGraph {
 
   /// Local id of a global vertex; kNoVertex when not present on this rank.
   [[nodiscard]] VertexId local_id(VertexId global) const {
-    const auto it = global_to_local_.find(global);
-    return it == global_to_local_.end() ? kNoVertex : it->second;
+    if (index_.empty()) return kNoVertex;
+    for (std::size_t s = home_slot(global);;
+         s = s + 1 == index_.size() ? 0 : s + 1) {
+      const std::uint32_t local = index_[s];
+      if (local == kEmptySlot) return kNoVertex;
+      if (global_ids_[local] == global) return static_cast<VertexId>(local);
+    }
   }
 
   /// Owning rank of a local ghost vertex.
@@ -111,10 +123,22 @@ class LocalGraph {
 
  private:
   friend class DistGraph;
+  static constexpr std::uint32_t kEmptySlot = UINT32_MAX;
+
+  /// First probe slot of `global`: the high half of a Fibonacci hash,
+  /// scaled onto [0, index_.size()).
+  [[nodiscard]] std::size_t home_slot(VertexId global) const {
+    const std::uint64_t h =
+        (static_cast<std::uint64_t>(global) * 0x9E3779B97F4A7C15ULL) >> 32;
+    return static_cast<std::size_t>((h * index_.size()) >> 32);
+  }
+  /// Fills index_ from global_ids_.
+  void build_index();
+
   Rank rank_ = 0;
   VertexId num_owned_ = 0;
   std::vector<VertexId> global_ids_;
-  std::unordered_map<VertexId, VertexId> global_to_local_;
+  std::vector<std::uint32_t> index_;  // local ids by hash slot; see header
   std::vector<EdgeId> offsets_;   // over owned vertices only
   std::vector<VertexId> adj_;     // local ids (owned or ghost)
   std::vector<Weight> weights_;
@@ -126,11 +150,52 @@ class LocalGraph {
   EdgeId cross_edges_ = 0;
 };
 
+/// Values a rank received about its ghosts from their owners (the
+/// verifiers' mates and colors), by ghost index (local id - num_owned). A
+/// receipt mark sits beside each value, since any value, kNoVertex
+/// included, may legitimately arrive.
+template <typename T>
+class GhostValues {
+ public:
+  explicit GhostValues(const LocalGraph& lg)
+      : lg_(lg),
+        values_(static_cast<std::size_t>(lg.num_ghosts())),
+        received_(static_cast<std::size_t>(lg.num_ghosts()), false) {}
+
+  /// Records the value received for global vertex `global`, which must be a
+  /// ghost on this rank.
+  void store(VertexId global, T value) {
+    const VertexId local = lg_.local_id(global);
+    PMC_CHECK(local != kNoVertex && lg_.is_ghost(local),
+              "record for vertex " << global << " names no ghost of rank "
+                                   << lg_.rank());
+    const auto i = static_cast<std::size_t>(local - lg_.num_owned());
+    values_[i] = value;
+    received_[i] = true;
+  }
+
+  /// The value received for ghost `local`; it must have arrived.
+  [[nodiscard]] T at(VertexId local) const {
+    const auto i = static_cast<std::size_t>(local - lg_.num_owned());
+    PMC_CHECK(received_[i],
+              "boundary exchange missed ghost " << lg_.global_id(local));
+    return values_[i];
+  }
+
+ private:
+  const LocalGraph& lg_;
+  std::vector<T> values_;
+  std::vector<bool> received_;
+};
+
 /// The complete distributed graph: all ranks' local views.
 class DistGraph {
  public:
   /// Splits `g` according to `p`. The graph and partition must agree on the
-  /// vertex count.
+  /// vertex count. Works rank by rank in two linear passes over `g`, with
+  /// two transient n-sized arrays (each vertex's local id on its owner, and
+  /// the ghost ids of the rank being built); ghosts get local ids in the
+  /// order the owned vertices' adjacency first reaches them.
   static DistGraph build(const Graph& g, const Partition& p);
 
   [[nodiscard]] Rank num_ranks() const noexcept {
@@ -146,7 +211,8 @@ class DistGraph {
   }
 
   /// Re-checks the distribution invariants (ghost symmetry, edge
-  /// conservation, ownership consistency) against the original inputs.
+  /// conservation, ownership consistency, the global -> local index) against
+  /// the original inputs.
   void validate(const Graph& g, const Partition& p) const;
 
  private:

@@ -10,15 +10,14 @@ GraphService::GraphService(const Graph& initial, Partition partition,
                            ServiceOptions options)
     : options_(options),
       partition_(std::move(partition)),
-      dynamic_(initial),
-      graph_(initial) {
+      dynamic_(initial) {
   PMC_REQUIRE(partition_.num_vertices() == initial.num_vertices(),
               "partition covers " << partition_.num_vertices()
                                   << " vertices, graph has "
                                   << initial.num_vertices());
   PMC_REQUIRE(options_.batch_window >= 0,
               "negative batch_window " << options_.batch_window);
-  const DistGraph dist = DistGraph::build(graph_, partition_);
+  const DistGraph dist = DistGraph::build(dynamic_.graph(), partition_);
   DistMatchingResult m = match_distributed(dist, options_.matching);
   matching_ = std::move(m.matching);
   initial_match_sim_ = m.run.sim_seconds;
@@ -41,8 +40,8 @@ BatchReport GraphService::refresh() {
   for (const EdgeUpdate& update : buffer_) dynamic_.apply(update);
   const std::vector<VertexId> touched = touched_vertices(buffer_);
 
-  graph_ = dynamic_.snapshot();
-  const DistGraph dist = DistGraph::build(graph_, partition_);
+  const Graph& graph = dynamic_.snapshot();
+  const DistGraph dist = DistGraph::build(graph, partition_);
 
   IncrementalMatchResult im =
       match_incremental(dist, matching_, touched, options_.matching);
@@ -75,7 +74,7 @@ BatchReport GraphService::refresh() {
 
   matching_ = std::move(im.matching);
   coloring_ = std::move(ic.coloring);
-  report.matching_weight = matching_weight(graph_, matching_);
+  report.matching_weight = matching_weight(graph, matching_);
   report.num_colors = coloring_.num_colors();
   history_.push_back(report);
   buffer_.clear();

@@ -83,8 +83,9 @@ class GraphService {
     return static_cast<std::int64_t>(buffer_.size());
   }
 
-  /// Current graph snapshot (rebuilt at every refresh).
-  [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
+  /// Current graph: the CSR the last refresh() folded its batch into
+  /// (buffered updates are not in it).
+  [[nodiscard]] const Graph& graph() const noexcept { return dynamic_.graph(); }
   [[nodiscard]] const Matching& matching() const noexcept { return matching_; }
   [[nodiscard]] const Coloring& coloring() const noexcept { return coloring_; }
   /// Reports of all completed batches, in order.
@@ -103,7 +104,6 @@ class GraphService {
   ServiceOptions options_;
   Partition partition_;
   DynamicGraph dynamic_;
-  Graph graph_;
   Matching matching_;
   Coloring coloring_;
   std::vector<EdgeUpdate> buffer_;

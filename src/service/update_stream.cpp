@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
-#include "graph/builder.hpp"
 #include "support/error.hpp"
 
 namespace pmc {
@@ -22,83 +23,155 @@ const char* to_string(UpdateOp op) {
 
 // ---- DynamicGraph ---------------------------------------------------------
 
-DynamicGraph::DynamicGraph(const Graph& initial)
-    : n_(initial.num_vertices()),
-      m_(initial.num_edges()),
-      adj_(static_cast<std::size_t>(initial.num_vertices())) {
-  for (VertexId u = 0; u < n_; ++u) {
-    const auto nbrs = initial.neighbors(u);
-    const auto wts = initial.weights(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      adj_[static_cast<std::size_t>(u)].emplace(
-          nbrs[i], initial.has_weights() ? wts[i] : Weight{1});
-    }
+namespace {
+
+/// `g` with every arc weight 1 — the weights GraphBuilder's weighted build
+/// gives edges added without one.
+Graph with_unit_weights(const Graph& g) {
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(g.num_vertices()) + 1, 0);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    offsets[static_cast<std::size_t>(v) + 1] = g.offset_end(v);
   }
+  std::vector<VertexId> adj(static_cast<std::size_t>(g.num_arcs()));
+  for (EdgeId e = 0; e < g.num_arcs(); ++e) {
+    adj[static_cast<std::size_t>(e)] = g.arc_target(e);
+  }
+  std::vector<Weight> weights(adj.size(), Weight{1});
+  return Graph(std::move(offsets), std::move(adj), std::move(weights));
+}
+
+}  // namespace
+
+DynamicGraph::DynamicGraph(const Graph& initial)
+    : graph_(initial.has_weights() ? initial : with_unit_weights(initial)),
+      m_(initial.num_edges()) {}
+
+std::optional<Weight> DynamicGraph::find_weight(VertexId u, VertexId v) const {
+  const auto it = pending_.find(EdgeKey{std::min(u, v), std::max(u, v)});
+  if (it != pending_.end()) return it->second;
+  const auto nbrs = graph_.neighbors(u);
+  const auto pos = std::lower_bound(nbrs.begin(), nbrs.end(), v);
+  if (pos == nbrs.end() || *pos != v) return std::nullopt;
+  return graph_.arc_weight(graph_.offset_begin(u) + (pos - nbrs.begin()));
 }
 
 bool DynamicGraph::has_edge(VertexId u, VertexId v) const {
-  if (u < 0 || u >= n_ || v < 0 || v >= n_) return false;
-  return adj_[static_cast<std::size_t>(u)].contains(v);
+  const VertexId n = num_vertices();
+  if (u < 0 || u >= n || v < 0 || v >= n) return false;
+  return find_weight(u, v).has_value();
 }
 
 Weight DynamicGraph::edge_weight(VertexId u, VertexId v) const {
-  PMC_REQUIRE(u >= 0 && u < n_ && v >= 0 && v < n_,
+  const VertexId n = num_vertices();
+  PMC_REQUIRE(u >= 0 && u < n && v >= 0 && v < n,
               "edge_weight endpoint out of range: (" << u << ", " << v << ")");
-  const auto it = adj_[static_cast<std::size_t>(u)].find(v);
-  PMC_REQUIRE(it != adj_[static_cast<std::size_t>(u)].end(),
-              "edge (" << u << ", " << v << ") does not exist");
-  return it->second;
+  const std::optional<Weight> w = find_weight(u, v);
+  PMC_REQUIRE(w.has_value(), "edge (" << u << ", " << v << ") does not exist");
+  return *w;
 }
 
 void DynamicGraph::require_valid_endpoints(const EdgeUpdate& update) const {
-  PMC_REQUIRE(update.u >= 0 && update.u < n_ && update.v >= 0 && update.v < n_,
+  const VertexId n = num_vertices();
+  PMC_REQUIRE(update.u >= 0 && update.u < n && update.v >= 0 && update.v < n,
               to_string(update.op) << " endpoint out of range: (" << update.u
-                                   << ", " << update.v << "), n = " << n_);
+                                   << ", " << update.v << "), n = " << n);
   PMC_REQUIRE(update.u != update.v, to_string(update.op)
                                         << " is a self-loop on " << update.u);
 }
 
 void DynamicGraph::apply(const EdgeUpdate& update) {
   require_valid_endpoints(update);
-  auto& au = adj_[static_cast<std::size_t>(update.u)];
-  auto& av = adj_[static_cast<std::size_t>(update.v)];
+  const bool present = find_weight(update.u, update.v).has_value();
+  const EdgeKey key{std::min(update.u, update.v), std::max(update.u, update.v)};
   switch (update.op) {
-    case UpdateOp::kInsert: {
-      const bool inserted = au.emplace(update.v, update.w).second;
-      PMC_REQUIRE(inserted, "insert of existing edge (" << update.u << ", "
+    case UpdateOp::kInsert:
+      PMC_REQUIRE(!present, "insert of existing edge (" << update.u << ", "
                                                         << update.v << ")");
-      av.emplace(update.u, update.w);
+      pending_[key] = update.w;
       ++m_;
       return;
-    }
-    case UpdateOp::kDelete: {
-      PMC_REQUIRE(au.erase(update.v) == 1, "delete of absent edge ("
-                                               << update.u << ", " << update.v
-                                               << ")");
-      av.erase(update.u);
+    case UpdateOp::kDelete:
+      PMC_REQUIRE(present, "delete of absent edge (" << update.u << ", "
+                                                     << update.v << ")");
+      pending_[key] = std::nullopt;
       --m_;
       return;
-    }
-    case UpdateOp::kReweight: {
-      const auto it = au.find(update.v);
-      PMC_REQUIRE(it != au.end(), "reweight of absent edge ("
-                                      << update.u << ", " << update.v << ")");
-      it->second = update.w;
-      av.find(update.u)->second = update.w;
+    case UpdateOp::kReweight:
+      PMC_REQUIRE(present, "reweight of absent edge (" << update.u << ", "
+                                                       << update.v << ")");
+      pending_[key] = update.w;
       return;
-    }
   }
   PMC_FAIL("invalid UpdateOp " << static_cast<int>(update.op));
 }
 
-Graph DynamicGraph::snapshot() const {
-  GraphBuilder builder(n_, /*weighted=*/true);
-  for (VertexId u = 0; u < n_; ++u) {
-    for (const auto& [v, w] : adj_[static_cast<std::size_t>(u)]) {
-      if (u < v) builder.add_edge(u, v, w);
+const Graph& DynamicGraph::snapshot() {
+  if (pending_.empty()) return graph_;
+  // Each pending edge changes one arc in each endpoint's row; sorted by
+  // (row, target) they merge into the sorted CSR rows in a single pass.
+  struct ArcChange {
+    VertexId row;
+    VertexId target;
+    std::optional<Weight> w;  ///< nullopt: the arc is deleted.
+  };
+  std::vector<ArcChange> changes;
+  changes.reserve(2 * pending_.size());
+  for (const auto& [key, w] : pending_) {
+    changes.push_back({key.first, key.second, w});
+    changes.push_back({key.second, key.first, w});
+  }
+  std::sort(changes.begin(), changes.end(),
+            [](const ArcChange& a, const ArcChange& b) {
+              return std::tie(a.row, a.target) < std::tie(b.row, b.target);
+            });
+
+  // Arcs between change points are copied in bulk; a row's offset moves by
+  // the arcs the rows before it gained or lost.
+  const VertexId n = num_vertices();
+  const EdgeId old_arcs = graph_.num_arcs();
+  const std::span<const VertexId> old_adj(graph_.neighbors(0).data(),
+                                          static_cast<std::size_t>(old_arcs));
+  const std::span<const Weight> old_weights(graph_.weights(0).data(),
+                                            old_adj.size());
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1);
+  std::vector<VertexId> adj;
+  std::vector<Weight> weights;
+  adj.reserve(static_cast<std::size_t>(2 * m_));
+  weights.reserve(adj.capacity());
+  std::size_t copied = 0;  // old arcs copied or dropped so far
+  const auto copy_to = [&](EdgeId stop) {
+    const auto end = static_cast<std::size_t>(stop);
+    adj.insert(adj.end(), old_adj.begin() + static_cast<std::ptrdiff_t>(copied),
+               old_adj.begin() + static_cast<std::ptrdiff_t>(end));
+    weights.insert(weights.end(),
+                   old_weights.begin() + static_cast<std::ptrdiff_t>(copied),
+                   old_weights.begin() + static_cast<std::ptrdiff_t>(end));
+    copied = end;
+  };
+  EdgeId shift = 0;
+  auto change = changes.begin();
+  for (VertexId u = 0; u < n; ++u) {
+    offsets[static_cast<std::size_t>(u)] = graph_.offset_begin(u) + shift;
+    for (; change != changes.end() && change->row == u; ++change) {
+      const auto nbrs = graph_.neighbors(u);
+      const auto pos = std::lower_bound(nbrs.begin(), nbrs.end(), change->target);
+      copy_to(graph_.offset_begin(u) + (pos - nbrs.begin()));
+      if (pos != nbrs.end() && *pos == change->target) {  // replaced
+        ++copied;
+        --shift;
+      }
+      if (change->w) {
+        adj.push_back(change->target);
+        weights.push_back(*change->w);
+        ++shift;
+      }
     }
   }
-  return std::move(builder).build();
+  copy_to(old_arcs);
+  offsets[static_cast<std::size_t>(n)] = static_cast<EdgeId>(adj.size());
+  graph_ = Graph(std::move(offsets), std::move(adj), std::move(weights));
+  pending_.clear();
+  return graph_;
 }
 
 // ---- UpdateStreamGenerator ------------------------------------------------

@@ -5,8 +5,9 @@
 // batch. This header provides the three stream-side pieces:
 //
 //   * EdgeUpdate / UpdateOp — one insert / delete / reweight operation;
-//   * DynamicGraph — a mutable adjacency-map mirror of a pmc::Graph that
-//     applies updates and snapshots back to CSR form;
+//   * DynamicGraph — a pmc::Graph plus an ordered overlay of pending edge
+//     changes; updates land in the overlay and snapshot() folds it into the
+//     CSR in one row-merge pass;
 //   * UpdateStreamGenerator — a seeded, replayable random stream of valid
 //     updates against the evolving graph;
 //   * JSONL serialization — write_update_log / read_update_log, so a stream
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,14 +51,19 @@ struct EdgeUpdate {
   [[nodiscard]] bool operator==(const EdgeUpdate&) const = default;
 };
 
-/// Mutable mirror of an undirected weighted graph: per-vertex sorted
-/// adjacency maps, kept symmetric. The vertex set is fixed at construction;
-/// only edges change. snapshot() rebuilds an immutable CSR Graph.
+/// Mutable undirected weighted graph: a CSR Graph plus a small ordered
+/// overlay of the edge changes applied since the last snapshot() (a new
+/// weight, or "deleted"), keyed by normalized endpoint pair. Queries and
+/// update validation read the overlay first, then the CSR. The vertex set is
+/// fixed at construction; only edges change. An unweighted initial graph is
+/// held with every weight 1.
 class DynamicGraph {
  public:
   explicit DynamicGraph(const Graph& initial);
 
-  [[nodiscard]] VertexId num_vertices() const noexcept { return n_; }
+  [[nodiscard]] VertexId num_vertices() const noexcept {
+    return graph_.num_vertices();
+  }
   [[nodiscard]] EdgeId num_edges() const noexcept { return m_; }
   [[nodiscard]] bool has_edge(VertexId u, VertexId v) const;
   /// Weight of existing edge (u, v); throws if absent.
@@ -64,18 +71,30 @@ class DynamicGraph {
 
   /// Applies one update; throws pmc::Error when the update is invalid
   /// against the current edge set (inserting a present edge, deleting or
-  /// reweighting an absent one, self-loop, out-of-range endpoint).
+  /// reweighting an absent one, self-loop, out-of-range endpoint). A failed
+  /// update changes nothing.
   void apply(const EdgeUpdate& update);
 
-  /// Freezes the current edge set into a CSR Graph.
-  [[nodiscard]] Graph snapshot() const;
+  /// Folds the pending updates into the CSR (one merge pass over the rows,
+  /// no global sort) and returns it. Views into the returned graph stay
+  /// valid until the next snapshot() that has updates to fold.
+  [[nodiscard]] const Graph& snapshot();
+
+  /// The CSR as of the last snapshot(); pending updates are not in it.
+  [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
 
  private:
+  /// Normalized endpoint pair (first < second).
+  using EdgeKey = std::pair<VertexId, VertexId>;
+
+  /// Current weight of (u, v), or nullopt when the edge is absent. Both
+  /// endpoints must be in range.
+  [[nodiscard]] std::optional<Weight> find_weight(VertexId u, VertexId v) const;
   void require_valid_endpoints(const EdgeUpdate& update) const;
 
-  VertexId n_ = 0;
+  Graph graph_;
   EdgeId m_ = 0;
-  std::vector<std::map<VertexId, Weight>> adj_;
+  std::map<EdgeKey, std::optional<Weight>> pending_;
 };
 
 /// Configuration of the random update stream.

@@ -126,6 +126,25 @@ TEST_P(DistGraphSweep, InvariantsAcrossGraphsAndParts) {
                            MultilevelConfig::metis_like(5));
   const DistGraph dist = DistGraph::build(g, p);
   dist.validate(g, p);
+
+  // The global -> local index round-trips every local id and answers
+  // kNoVertex for vertices the rank does not hold (out-of-range ids too).
+  const VertexId n = g.num_vertices();
+  for (Rank r = 0; r < dist.num_ranks(); ++r) {
+    const LocalGraph& lg = dist.local(r);
+    std::vector<bool> held(static_cast<std::size_t>(n), false);
+    for (VertexId l = 0; l < lg.num_local(); ++l) {
+      ASSERT_EQ(lg.local_id(lg.global_id(l)), l) << "rank " << r;
+      held[static_cast<std::size_t>(lg.global_id(l))] = true;
+    }
+    for (VertexId v = r % 3; v < n; v += 3) {
+      if (!held[static_cast<std::size_t>(v)]) {
+        ASSERT_EQ(lg.local_id(v), kNoVertex) << "rank " << r << " vertex " << v;
+      }
+    }
+    EXPECT_EQ(lg.local_id(n), kNoVertex);
+    EXPECT_EQ(lg.local_id(kNoVertex), kNoVertex);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(GraphsTimesParts, DistGraphSweep,

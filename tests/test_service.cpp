@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -101,6 +102,122 @@ TEST(DynamicGraphTest, RejectsInvalidUpdates) {
   // The failed applies must not have mutated the mirror.
   EXPECT_EQ(dyn.num_edges(), 1);
   EXPECT_EQ(dyn.edge_weight(0, 1), 1.0);
+}
+
+/// Normalized edge -> weight: an independent mirror of a DynamicGraph.
+using EdgeMirror = std::map<std::pair<VertexId, VertexId>, Weight>;
+
+EdgeMirror mirror_of(const Graph& g) {
+  EdgeMirror mirror;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    for (EdgeId e = g.offset_begin(u); e < g.offset_end(u); ++e) {
+      if (u < g.arc_target(e)) mirror[{u, g.arc_target(e)}] = g.arc_weight(e);
+    }
+  }
+  return mirror;
+}
+
+/// Applies `u` to the mirror the way DynamicGraph must (u is valid).
+void apply_to(EdgeMirror& mirror, const EdgeUpdate& u) {
+  if (u.op == UpdateOp::kDelete) {
+    mirror.erase({u.u, u.v});
+  } else {
+    mirror[{u.u, u.v}] = u.w;
+  }
+}
+
+/// Requires `dyn.snapshot()` to equal, array for array, a weighted
+/// GraphBuilder build of the mirror.
+void expect_snapshot_equals_mirror(DynamicGraph& dyn, const EdgeMirror& mirror) {
+  GraphBuilder b(dyn.num_vertices(), /*weighted=*/true);
+  for (const auto& [e, w] : mirror) b.add_edge(e.first, e.second, w);
+  const Graph want = std::move(b).build();
+  const Graph& got = dyn.snapshot();
+  ASSERT_EQ(got.num_vertices(), want.num_vertices());
+  ASSERT_EQ(got.num_arcs(), want.num_arcs());
+  ASSERT_EQ(got.has_weights(), want.has_weights());
+  for (VertexId v = 0; v < want.num_vertices(); ++v) {
+    ASSERT_EQ(got.offset_end(v), want.offset_end(v)) << "vertex " << v;
+  }
+  for (EdgeId e = 0; e < want.num_arcs(); ++e) {
+    ASSERT_EQ(got.arc_target(e), want.arc_target(e)) << "arc " << e;
+    ASSERT_EQ(got.arc_weight(e), want.arc_weight(e)) << "arc " << e;
+  }
+  EXPECT_EQ(dyn.num_edges(), static_cast<EdgeId>(mirror.size()));
+  EXPECT_NO_THROW(got.validate());
+}
+
+TEST(DynamicGraphTest, SnapshotFoldsSameBatchEditsLikeABuilder) {
+  // Unweighted initial graph: held with weight 1, as a builder stores it.
+  const Graph g0 = graph_from_edges(
+      5, std::vector<std::pair<VertexId, VertexId>>{{0, 1}, {1, 2}, {3, 4}});
+  ASSERT_FALSE(g0.has_weights());
+  DynamicGraph dyn(g0);
+  EdgeMirror mirror = mirror_of(g0);
+  expect_snapshot_equals_mirror(dyn, mirror);  // empty overlay
+
+  const std::vector<EdgeUpdate> batch = {
+      insert(0, 4, 2.0), erase(0, 4),       // insert -> delete
+      erase(1, 2), insert(1, 2, 3.0),       // delete -> reinsert
+      insert(2, 3, 4.0), reweight(2, 3, 5.5),  // reweight a new edge
+      reweight(3, 4, 0.25), erase(0, 1),
+  };
+  for (const EdgeUpdate& u : batch) {
+    dyn.apply(u);
+    apply_to(mirror, u);
+  }
+  EXPECT_FALSE(dyn.has_edge(0, 4));
+  EXPECT_EQ(dyn.edge_weight(2, 1), 3.0);
+  EXPECT_EQ(dyn.edge_weight(3, 2), 5.5);
+  EXPECT_THROW(dyn.apply(erase(0, 4)), Error);  // deleted within the batch
+  EXPECT_THROW(dyn.apply(insert(1, 2, 1.0)), Error);  // reinserted
+  expect_snapshot_equals_mirror(dyn, mirror);
+  expect_snapshot_equals_mirror(dyn, mirror);  // nothing left to fold
+}
+
+TEST(DynamicGraphTest, RandomStreamsSnapshotLikeAnIndependentMirror) {
+  // A dense little vertex set, so one batch often touches the same edge
+  // several times; snapshots every k updates for a spread of k.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const Graph g0 = seed % 2 == 0
+                         ? erdos_renyi(12, 20, WeightKind::kUniformRandom, seed)
+                         : grid_2d(3, 4);
+    DynamicGraph dyn(g0);
+    EdgeMirror mirror = mirror_of(g0);
+    std::int64_t since_snapshot = 0;
+    std::int64_t every = 1;
+    for (int step = 0; step < 400; ++step) {
+      const auto a = static_cast<VertexId>(rng.uniform_int(0, 11));
+      auto b = static_cast<VertexId>(rng.uniform_int(0, 10));
+      if (b >= a) ++b;  // uniform over the other 11 vertices
+      const VertexId u = std::min(a, b);
+      const VertexId v = std::max(a, b);
+      const Weight w = static_cast<Weight>(rng.uniform_int(1, 9)) / 4;
+      const bool present = mirror.contains({u, v});
+      ASSERT_EQ(dyn.has_edge(u, v), present);
+      EdgeUpdate update = insert(u, v, w);
+      if (present) update = rng.bernoulli(0.5) ? erase(u, v) : reweight(u, v, w);
+      if (rng.bernoulli(0.1)) {
+        // The inverse of a valid update is invalid and must change nothing.
+        update = present ? insert(u, v, w) : erase(u, v);
+        ASSERT_THROW(dyn.apply(update), Error);
+      } else {
+        dyn.apply(update);
+        apply_to(mirror, update);
+      }
+      if (mirror.contains({u, v})) {
+        ASSERT_EQ(dyn.edge_weight(v, u), mirror.at({u, v}));
+      }
+      if (++since_snapshot == every) {
+        expect_snapshot_equals_mirror(dyn, mirror);
+        since_snapshot = 0;
+        every = every % 7 + 1;
+      }
+    }
+    expect_snapshot_equals_mirror(dyn, mirror);
+  }
 }
 
 // ---- UpdateStreamGenerator --------------------------------------------------

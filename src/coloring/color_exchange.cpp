@@ -1,5 +1,6 @@
 #include "coloring/color_exchange.hpp"
 
+#include <algorithm>
 #include <span>
 #include <utility>
 
@@ -24,6 +25,11 @@ void apply_color_records(const LocalGraph& lg, std::vector<Color>& color,
   });
 }
 
+void sort_lost(std::vector<VertexId>& lost) {
+  std::sort(lost.begin(), lost.end());
+  lost.erase(std::unique(lost.begin(), lost.end()), lost.end());
+}
+
 std::function<void(Rank, std::vector<std::byte>, std::int64_t)>
 lost_tracking_color_sender(LostColorSets& lost, bool faults_on,
                            BspEngine::RankCtx& ctx) {
@@ -45,7 +51,7 @@ lost_tracking_color_sender(LostColorSets& lost, bool faults_on,
                // decoding the kept copy is safe even for corrupted sends.
                for_each_record<ColorRecord>(
                    bytes, [&](const ColorRecord& rec) {
-                     lost[static_cast<std::size_t>(src)].insert(rec.vertex);
+                     lost[static_cast<std::size_t>(src)].push_back(rec.vertex);
                    });
              });
   };

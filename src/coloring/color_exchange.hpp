@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "coloring/coloring.hpp"
@@ -25,8 +24,13 @@ void apply_color_records(const LocalGraph& lg, std::vector<Color>& color,
                          std::vector<VertexId>* changed = nullptr);
 
 /// Global ids whose color announcement was dropped or corrupted in flight,
-/// per sending rank; the repair phase resets and re-enters them.
-using LostColorSets = std::vector<std::unordered_set<VertexId>>;
+/// per sending rank, in replay order (a vertex announced to several ranks
+/// may repeat); the repair phase sorts them with sort_lost(), then resets
+/// and re-enters those vertices.
+using LostColorSets = std::vector<std::vector<VertexId>>;
+
+/// Sorts one rank's lost ids and drops repeats, for binary-search probes.
+void sort_lost(std::vector<VertexId>& lost);
 
 /// Send callable for color frames from `ctx`: forwards to ctx.send and,
 /// when faults are on, decodes the sender-side copy of every dropped or

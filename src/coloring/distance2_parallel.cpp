@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
 #include "coloring/color_exchange.hpp"
 #include "runtime/bsp_engine.hpp"
@@ -25,20 +24,15 @@ std::vector<Dist2RankView> build_dist2_views(const Graph& g,
     views[static_cast<std::size_t>(r)].rank = r;
   }
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    auto& view = views[static_cast<std::size_t>(p.owner(v))];
-    view.global_to_local.emplace(
-        v, static_cast<VertexId>(view.global_ids.size()));
-    view.global_ids.push_back(v);
+    views[static_cast<std::size_t>(p.owner(v))].global_ids.push_back(v);
   }
   for (auto& view : views) {
     view.num_owned = static_cast<VertexId>(view.global_ids.size());
+    view.index.build(view.global_ids);
   }
 
   auto intern = [](Dist2RankView& view, VertexId global) {
-    const auto [it, inserted] = view.global_to_local.emplace(
-        global, static_cast<VertexId>(view.global_ids.size()));
-    if (inserted) view.global_ids.push_back(global);
-    return it->second;
+    return view.index.intern(view.global_ids, global);
   };
 
   // Distance-1 ghosts (in deterministic order of discovery).
@@ -75,10 +69,9 @@ std::vector<Dist2RankView> build_dist2_views(const Graph& g,
     for (VertexId local = 0; local < view.num_adjacent; ++local) {
       for (VertexId u :
            g.neighbors(view.global_ids[static_cast<std::size_t>(local)])) {
-        const auto it = view.global_to_local.find(u);
-        PMC_CHECK(it != view.global_to_local.end(),
-                  "two-hop closure missed vertex " << u);
-        view.adj[cursor++] = it->second;
+        const VertexId lu = view.local_id(u);
+        PMC_CHECK(lu != kNoVertex, "two-hop closure missed vertex " << u);
+        view.adj[cursor++] = lu;
       }
     }
   }
@@ -123,10 +116,10 @@ struct D2RankState {
 
 void d2_apply_records(D2RankState& st, const BspMessage& msg) {
   for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
-    const auto it = st.view->global_to_local.find(rec.vertex);
-    PMC_CHECK(it != st.view->global_to_local.end(),
+    const VertexId local = st.view->local_id(rec.vertex);
+    PMC_CHECK(local != kNoVertex,
               "distance-2 record for vertex outside the view");
-    st.color[static_cast<std::size_t>(it->second)] = rec.color;
+    st.color[static_cast<std::size_t>(local)] = rec.color;
   });
 }
 
@@ -272,11 +265,13 @@ DistColoringResult color_distance2_distributed_native(
       D2RankState& st = states[static_cast<std::size_t>(r)];
       const Dist2RankView& view = *st.view;
       auto& lost_r = lost[static_cast<std::size_t>(r)];
+      sort_lost(lost_r);
       st.to_color.clear();
       for (const VertexId v : st.colored_d2_boundary) {
         const Color cv = st.color[static_cast<std::size_t>(v)];
         const VertexId gv = view.global_ids[static_cast<std::size_t>(v)];
-        if (faults_on && lost_r.count(gv) != 0) {
+        if (faults_on &&
+            std::binary_search(lost_r.begin(), lost_r.end(), gv)) {
           // Some two-hop recipient never learned cv; re-enter
           // unconditionally.
           st.color[static_cast<std::size_t>(v)] = kNoColor;

@@ -20,6 +20,7 @@
 #include "coloring/parallel.hpp"
 #include "graph/csr_graph.hpp"
 #include "partition/partition.hpp"
+#include "runtime/local_index.hpp"
 
 namespace pmc {
 
@@ -32,7 +33,7 @@ struct Dist2RankView {
   VertexId num_owned = 0;
   VertexId num_adjacent = 0;  ///< owned + distance-1 ghosts
   std::vector<VertexId> global_ids;
-  std::unordered_map<VertexId, VertexId> global_to_local;
+  LocalIndex index;  ///< global -> local over global_ids
   std::vector<EdgeId> offsets;  ///< over [0, num_adjacent)
   std::vector<VertexId> adj;    ///< local ids (all within the view)
   /// Owned vertices with any non-owned vertex within distance <= 2.
@@ -43,6 +44,10 @@ struct Dist2RankView {
 
   [[nodiscard]] VertexId num_local() const noexcept {
     return static_cast<VertexId>(global_ids.size());
+  }
+  /// Local id of a global vertex; kNoVertex when outside the view.
+  [[nodiscard]] VertexId local_id(VertexId global) const {
+    return index.find(global_ids, global);
   }
   [[nodiscard]] std::span<const VertexId> neighbors(VertexId local) const {
     const auto b = static_cast<std::size_t>(offsets[static_cast<std::size_t>(local)]);

@@ -222,12 +222,14 @@ DistColoringResult color_distributed(const DistGraph& dist,
       RankState& st = states[static_cast<std::size_t>(r)];
       const LocalGraph& lg = *st.lg;
       auto& lost_r = lost[static_cast<std::size_t>(r)];
+      sort_lost(lost_r);
       st.to_color.clear();
       for (const VertexId v : st.colored_boundary) {
         ctx.charge(static_cast<double>(lg.degree(v)), WorkPhase::kBoundary);
         const Color cv = st.color[static_cast<std::size_t>(v)];
         const VertexId gv = lg.global_id(v);
-        if (faults_on && lost_r.count(gv) != 0) {
+        if (faults_on &&
+            std::binary_search(lost_r.begin(), lost_r.end(), gv)) {
           // Some receiver never learned cv; re-enter unconditionally (it
           // will recolor — and re-announce — next round).
           st.color[static_cast<std::size_t>(v)] = kNoColor;

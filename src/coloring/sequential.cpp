@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
 #include "graph/algorithms.hpp"
 #include "support/error.hpp"
@@ -238,8 +237,7 @@ Coloring color_saturation(const Graph& g, const SeqColoringOptions& options) {
   auto* usage_ptr =
       options.strategy == ColorStrategy::kLeastUsed ? &usage : nullptr;
   // Distinct neighbor colors per vertex (saturation).
-  std::vector<std::unordered_set<Color>> adjacent_colors(
-      static_cast<std::size_t>(n));
+  std::vector<std::size_t> saturation(static_cast<std::size_t>(n), 0);
   for (VertexId done = 0; done < n; ++done) {
     const VertexId v = queue.pop();
     PMC_CHECK(v != kNoVertex, "DSATUR queue drained early");
@@ -250,9 +248,15 @@ Coloring color_saturation(const Graph& g, const SeqColoringOptions& options) {
     const Color cv = chooser.choose(usage_ptr);
     result.color[static_cast<std::size_t>(v)] = cv;
     for (VertexId u : g.neighbors(v)) {
-      if (result.color[static_cast<std::size_t>(u)] == kNoColor &&
-          adjacent_colors[static_cast<std::size_t>(u)].insert(cv).second) {
-        queue.increase(u, adjacent_colors[static_cast<std::size_t>(u)].size());
+      if (result.color[static_cast<std::size_t>(u)] != kNoColor) continue;
+      // cv is new to u unless another colored neighbor of u already has it.
+      const auto nu = g.neighbors(u);
+      const bool seen = std::any_of(nu.begin(), nu.end(), [&](VertexId w) {
+        return w != v && result.color[static_cast<std::size_t>(w)] == cv;
+      });
+      if (!seen) {
+        auto& sat = saturation[static_cast<std::size_t>(u)];
+        queue.increase(u, ++sat);
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -23,35 +24,45 @@ void GraphBuilder::add_edge(VertexId u, VertexId v, Weight w) {
   edges_.push_back(RawEdge{u, v, w});
 }
 
-Graph GraphBuilder::build() && {
-  std::sort(edges_.begin(), edges_.end(),
-            [](const RawEdge& a, const RawEdge& b) {
-              return std::tie(a.u, a.v) < std::tie(b.u, b.v);
-            });
+namespace {
 
-  // Deduplicate in place according to the policy.
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    if (out > 0 && edges_[out - 1].u == edges_[i].u &&
-        edges_[out - 1].v == edges_[i].v) {
-      switch (policy_) {
-        case DuplicatePolicy::kError:
-          PMC_FAIL("duplicate edge (" << edges_[i].u << ", " << edges_[i].v
-                                      << ")");
-        case DuplicatePolicy::kKeepFirst:
-          break;
-        case DuplicatePolicy::kKeepMax:
-          edges_[out - 1].w = std::max(edges_[out - 1].w, edges_[i].w);
-          break;
+/// Stably sorts one weighted row by neighbor id, weights aligned: arcs to
+/// the same neighbor keep their insertion order, which the duplicate
+/// policies read. Insertion sort up to 32 arcs, std::stable_sort over
+/// (neighbor, weight) pairs above.
+void sort_row(VertexId* adj, Weight* w, std::size_t len,
+              std::vector<std::pair<VertexId, Weight>>& tmp) {
+  if (len <= 32) {
+    for (std::size_t i = 1; i < len; ++i) {
+      const VertexId a = adj[i];
+      const Weight x = w[i];
+      std::size_t j = i;
+      for (; j > 0 && adj[j - 1] > a; --j) {
+        adj[j] = adj[j - 1];
+        w[j] = w[j - 1];
       }
-      continue;
+      adj[j] = a;
+      w[j] = x;
     }
-    edges_[out++] = edges_[i];
+    return;
   }
-  edges_.resize(out);
+  tmp.clear();
+  for (std::size_t i = 0; i < len; ++i) tmp.emplace_back(adj[i], w[i]);
+  std::stable_sort(tmp.begin(), tmp.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  for (std::size_t i = 0; i < len; ++i) {
+    adj[i] = tmp[i].first;
+    w[i] = tmp[i].second;
+  }
+}
 
-  // Count degrees (both directions).
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(num_vertices_) + 1, 0);
+}  // namespace
+
+Graph GraphBuilder::build() && {
+  // Bucket both arcs of every edge by source, in insertion order.
+  const auto n = static_cast<std::size_t>(num_vertices_);
+  std::vector<EdgeId> offsets(n + 1, 0);
   for (const RawEdge& e : edges_) {
     ++offsets[static_cast<std::size_t>(e.u) + 1];
     ++offsets[static_cast<std::size_t>(e.v) + 1];
@@ -59,47 +70,65 @@ Graph GraphBuilder::build() && {
   for (std::size_t i = 1; i < offsets.size(); ++i) {
     offsets[i] += offsets[i - 1];
   }
-
   std::vector<VertexId> adj(static_cast<std::size_t>(offsets.back()));
   std::vector<Weight> weights;
   if (weighted_) weights.resize(adj.size());
-
-  std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
-  // Edges are sorted by (u, v); writing u->v then v->u in this order leaves
-  // every adjacency list sorted except the v->u back-arcs, so sort each list
-  // afterwards. To keep weights aligned we sort index pairs per vertex.
-  for (const RawEdge& e : edges_) {
-    const auto cu = static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.u)]++);
-    adj[cu] = e.v;
-    if (weighted_) weights[cu] = e.w;
-    const auto cv = static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.v)]++);
-    adj[cv] = e.u;
-    if (weighted_) weights[cv] = e.w;
-  }
-
-  std::vector<std::pair<VertexId, Weight>> tmp;  // one row's sort buffer
-  for (VertexId v = 0; v < num_vertices_; ++v) {
-    const auto begin = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v)]);
-    const auto end = static_cast<std::size_t>(offsets[static_cast<std::size_t>(v) + 1]);
-    if (weighted_) {
-      // Sort (neighbor, weight) pairs together.
-      tmp.clear();
-      for (std::size_t i = begin; i < end; ++i) {
-        tmp.emplace_back(adj[i], weights[i]);
-      }
-      std::sort(tmp.begin(), tmp.end());
-      for (std::size_t i = begin; i < end; ++i) {
-        adj[i] = tmp[i - begin].first;
-        weights[i] = tmp[i - begin].second;
-      }
-    } else {
-      std::sort(adj.begin() + static_cast<std::ptrdiff_t>(begin),
-                adj.begin() + static_cast<std::ptrdiff_t>(end));
+  {
+    std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
+    for (const RawEdge& e : edges_) {
+      const auto cu =
+          static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.u)]++);
+      const auto cv =
+          static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.v)]++);
+      adj[cu] = e.v;
+      adj[cv] = e.u;
+      if (weighted_) weights[cu] = weights[cv] = e.w;
     }
   }
-
   edges_.clear();
   edges_.shrink_to_fit();
+
+  // Sort each row stably, then fold repeated neighbors by the policy while
+  // compacting the rows in place. Both arcs of an edge see the same
+  // insertions in the same order, so the result stays symmetric.
+  std::vector<std::pair<VertexId, Weight>> tmp;  // one row's sort buffer
+  std::size_t out = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto begin = static_cast<std::size_t>(offsets[v]);
+    const auto end = static_cast<std::size_t>(offsets[v + 1]);
+    if (weighted_) {
+      sort_row(adj.data() + begin, weights.data() + begin, end - begin, tmp);
+    } else {  // equal neighbors are indistinguishable: no stability needed
+      std::sort(adj.data() + begin, adj.data() + end);
+    }
+    offsets[v] = static_cast<EdgeId>(out);
+    const std::size_t row = out;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (out > row && adj[out - 1] == adj[i]) {
+        switch (policy_) {
+          case DuplicatePolicy::kError:
+            // Row v < adj[i] meets the pair first: (v, adj[i]) is ordered.
+            PMC_FAIL("duplicate edge (" << v << ", " << adj[i] << ")");
+          case DuplicatePolicy::kKeepFirst:
+            break;
+          case DuplicatePolicy::kKeepMax:
+            if (weighted_) {
+              weights[out - 1] = std::max(weights[out - 1], weights[i]);
+            }
+            break;
+        }
+        continue;
+      }
+      adj[out] = adj[i];
+      if (weighted_) weights[out] = weights[i];
+      ++out;
+    }
+  }
+  offsets[n] = static_cast<EdgeId>(out);
+  adj.resize(out);
+  adj.shrink_to_fit();  // a no-op unless duplicates were folded
+  weights.resize(weighted_ ? out : 0);
+  weights.shrink_to_fit();
   return Graph(std::move(offsets), std::move(adj), std::move(weights));
 }
 

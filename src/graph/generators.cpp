@@ -345,15 +345,19 @@ Graph bipartite_double_cover(const Graph& g, BipartiteInfo& info,
 }
 
 Graph reweight(const Graph& g, WeightKind weights, std::uint64_t seed) {
-  GraphBuilder builder(g.num_vertices(), /*weighted=*/true);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (VertexId u : g.neighbors(v)) {
-      if (u > v) {
-        builder.add_edge(v, u, edge_weight_for(weights, seed, v, u));
-      }
+  const VertexId n = g.num_vertices();
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<VertexId> adj(static_cast<std::size_t>(g.num_arcs()));
+  std::vector<Weight> w(adj.size());
+  for (VertexId v = 0; v < n; ++v) {
+    offsets[static_cast<std::size_t>(v) + 1] = g.offset_end(v);
+    for (EdgeId a = g.offset_begin(v); a < g.offset_end(v); ++a) {
+      const VertexId u = g.arc_target(a);
+      adj[static_cast<std::size_t>(a)] = u;
+      w[static_cast<std::size_t>(a)] = edge_weight_for(weights, seed, v, u);
     }
   }
-  return std::move(builder).build();
+  return Graph(std::move(offsets), std::move(adj), std::move(w));
 }
 
 }  // namespace pmc

@@ -10,7 +10,8 @@ namespace pmc {
 MatchProcess::MatchProcess(const LocalGraph& lg,
                            const DistMatchingOptions& options)
     : lg_(lg),
-      bundler_(options.bundled ? BundleMode::kBundled : BundleMode::kEager,
+      bundler_(lg.neighbor_ranks(),
+               options.bundled ? BundleMode::kBundled : BundleMode::kEager,
                options.bundle_flush_bytes, options.codec) {}
 
 void MatchProcess::sort_arcs(EventContext& ctx, VertexId v) {

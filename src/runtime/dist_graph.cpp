@@ -6,17 +6,6 @@
 
 namespace pmc {
 
-void LocalGraph::build_index() {
-  const std::size_t n = global_ids_.size();
-  const std::size_t slots = n + n / 3 + 1;  // at most 3/4 full
-  index_.assign(slots, kEmptySlot);
-  for (std::size_t local = 0; local < n; ++local) {
-    std::size_t s = home_slot(global_ids_[local]);
-    while (index_[s] != kEmptySlot) s = s + 1 == slots ? 0 : s + 1;
-    index_[s] = static_cast<std::uint32_t>(local);
-  }
-}
-
 DistGraph DistGraph::build(const Graph& g, const Partition& p) {
   PMC_REQUIRE(p.num_vertices() == g.num_vertices(),
               "graph/partition size mismatch: " << g.num_vertices() << " vs "
@@ -104,7 +93,7 @@ DistGraph DistGraph::build(const Graph& g, const Partition& p) {
   std::vector<std::uint32_t>().swap(slot);
   std::vector<Rank> ranks;
   for (LocalGraph& lg : dist.locals_) {
-    lg.build_index();
+    lg.index_.build(lg.global_ids_);
     ranks.assign(lg.ghost_owner_.begin(), lg.ghost_owner_.end());
     std::sort(ranks.begin(), ranks.end());
     ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());

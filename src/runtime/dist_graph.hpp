@@ -12,12 +12,8 @@
 //     and owning rank but no adjacency;
 //   * the interior/boundary classification of owned vertices and the sorted
 //     list of neighboring ranks;
-//   * the global -> local index: an open-addressing table of 32-bit local
-//     ids with linear probing, keyed by the global id each slot's local id
-//     names in the global-id array. It is sized once, at build time, to the
-//     rank's local vertex count plus a third (at most 3/4 full), so it costs
-//     4 bytes x 4/3 per local vertex on top of that array, and a lookup is
-//     one hash plus a short probe run.
+//   * the global -> local index (runtime/local_index.hpp), sized once, at
+//     build time, to the rank's local vertex count plus a third.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +21,7 @@
 
 #include "graph/csr_graph.hpp"
 #include "partition/partition.hpp"
+#include "runtime/local_index.hpp"
 #include "support/error.hpp"
 #include "support/types.hpp"
 
@@ -52,13 +49,7 @@ class LocalGraph {
 
   /// Local id of a global vertex; kNoVertex when not present on this rank.
   [[nodiscard]] VertexId local_id(VertexId global) const {
-    if (index_.empty()) return kNoVertex;
-    for (std::size_t s = home_slot(global);;
-         s = s + 1 == index_.size() ? 0 : s + 1) {
-      const std::uint32_t local = index_[s];
-      if (local == kEmptySlot) return kNoVertex;
-      if (global_ids_[local] == global) return static_cast<VertexId>(local);
-    }
+    return index_.find(global_ids_, global);
   }
 
   /// Owning rank of a local ghost vertex.
@@ -123,22 +114,11 @@ class LocalGraph {
 
  private:
   friend class DistGraph;
-  static constexpr std::uint32_t kEmptySlot = UINT32_MAX;
-
-  /// First probe slot of `global`: the high half of a Fibonacci hash,
-  /// scaled onto [0, index_.size()).
-  [[nodiscard]] std::size_t home_slot(VertexId global) const {
-    const std::uint64_t h =
-        (static_cast<std::uint64_t>(global) * 0x9E3779B97F4A7C15ULL) >> 32;
-    return static_cast<std::size_t>((h * index_.size()) >> 32);
-  }
-  /// Fills index_ from global_ids_.
-  void build_index();
 
   Rank rank_ = 0;
   VertexId num_owned_ = 0;
   std::vector<VertexId> global_ids_;
-  std::vector<std::uint32_t> index_;  // local ids by hash slot; see header
+  LocalIndex index_;
   std::vector<EdgeId> offsets_;   // over owned vertices only
   std::vector<VertexId> adj_;     // local ids (owned or ghost)
   std::vector<Weight> weights_;
@@ -193,9 +173,11 @@ class DistGraph {
  public:
   /// Splits `g` according to `p`. The graph and partition must agree on the
   /// vertex count. Works rank by rank in two linear passes over `g`, with
-  /// two transient n-sized arrays (each vertex's local id on its owner, and
-  /// the ghost ids of the rank being built); ghosts get local ids in the
-  /// order the owned vertices' adjacency first reaches them.
+  /// one transient n-sized array (each vertex's local id on its owner; while
+  /// a rank is built, its ghosts' entries hold their ids there instead) and
+  /// a list, sized by that rank's ghosts, of the owner-side ids they
+  /// displaced; ghosts get local ids in the order the owned vertices'
+  /// adjacency first reaches them.
   static DistGraph build(const Graph& g, const Partition& p);
 
   [[nodiscard]] Rank num_ranks() const noexcept {

@@ -17,6 +17,15 @@ namespace {
 constexpr std::size_t kTransportHeaderBytes = 12;
 constexpr std::size_t kAckPayloadBytes = 12;
 
+/// The unacked entry with sequence `tseq` (entries ascend), or end().
+template <typename Pendings>
+auto find_pending(Pendings& unacked, std::uint64_t tseq) {
+  const auto it = std::lower_bound(
+      unacked.begin(), unacked.end(), tseq,
+      [](const auto& p, std::uint64_t t) { return p.tseq < t; });
+  return it != unacked.end() && it->tseq == tseq ? it : unacked.end();
+}
+
 }  // namespace
 
 EventContext::DeferredOp& EventContext::record(DeferredOp::Kind kind) {
@@ -82,6 +91,48 @@ Rank EventEngine::add_process(std::unique_ptr<Process> process) {
   return fabric_.add_rank();
 }
 
+EventEngine::PeerChannel& EventEngine::RankTransport::channel(Rank peer) {
+  const auto it = std::lower_bound(
+      peers.begin(), peers.end(), peer,
+      [](const PeerChannel& c, Rank r) { return c.peer < r; });
+  if (it != peers.end() && it->peer == peer) return *it;
+  return *peers.insert(it, PeerChannel{.peer = peer});
+}
+
+bool EventEngine::RankTransport::mark_delivered(Rank peer,
+                                                std::uint64_t tseq) {
+  PeerChannel& c = channel(peer);
+  if (tseq < c.delivered_below) return false;
+  auto& above = c.delivered_above;
+  const auto it = std::lower_bound(above.begin(), above.end(), tseq);
+  if (it != above.end() && *it == tseq) return false;
+  if (tseq != c.delivered_below) {
+    above.insert(it, tseq);
+    peak_out_of_order = std::max(peak_out_of_order, ++out_of_order);
+    return true;
+  }
+  // The gap at the watermark closed: fold in the run that now follows it.
+  auto run = above.begin();
+  while (run != above.end() && *run == c.delivered_below + 1) {
+    ++run;
+    ++c.delivered_below;
+  }
+  ++c.delivered_below;
+  out_of_order -= static_cast<std::size_t>(run - above.begin());
+  above.erase(above.begin(), run);
+  return true;
+}
+
+EventEngine::TransportFootprint EventEngine::transport_footprint() const {
+  TransportFootprint f;
+  for (const RankTransport& t : transport_state_) {
+    f.out_of_order += t.out_of_order;
+    f.peak_out_of_order = std::max(f.peak_out_of_order, t.peak_out_of_order);
+    for (const PeerChannel& c : t.peers) f.unacked += c.unacked.size();
+  }
+  return f;
+}
+
 void EventEngine::push_event(Event ev) {
   ev.seq = order_seq_++;
   queue_.push(std::move(ev));
@@ -103,9 +154,11 @@ void EventEngine::enqueue(Rank dst, std::vector<std::byte> payload,
     push_event(std::move(ev));
     return;
   }
-  auto& sender = transport_state_[static_cast<std::size_t>(src)];
-  const std::uint64_t tseq = sender.next_tseq[dst]++;
-  Pending& entry = sender.unacked[dst][tseq];
+  PeerChannel& channel =
+      transport_state_[static_cast<std::size_t>(src)].channel(dst);
+  const std::uint64_t tseq = channel.next_tseq++;
+  Pending& entry = channel.unacked.emplace_back();
+  entry.tseq = tseq;
   entry.payload = std::move(payload);
   entry.records = records;
   entry.attempt = 1;
@@ -117,7 +170,7 @@ void EventEngine::enqueue(Rank dst, std::vector<std::byte> payload,
   // late ack for an earlier try is ignored harmlessly). Without the tail a
   // delivered final try just stops retrying; the entry stays until its ack
   // arrives, or inertly forever if that ack is lost.
-  if (exempt) sender.unacked[dst].erase(tseq);
+  if (exempt) channel.unacked.pop_back();
 }
 
 void EventEngine::transmit(Rank dst, std::uint64_t tseq,
@@ -227,8 +280,9 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
         return;
       }
       if (transport_) {
-        auto& receiver = transport_state_[static_cast<std::size_t>(ev.dst)];
-        const bool fresh = receiver.delivered[ev.src].insert(ev.tseq).second;
+        const bool fresh =
+            transport_state_[static_cast<std::size_t>(ev.dst)].mark_delivered(
+                ev.src, ev.tseq);
         // Always (re-)ack: the sender may be retrying because an earlier
         // ack was lost.
         EventContext::DeferredOp& ack = ctx.record(Kind::kAck);
@@ -252,24 +306,26 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
         ctx.record(Kind::kNoteCorruptDetected).note_time = lane.now();
         return;
       }
-      auto& unacked = transport_state_[static_cast<std::size_t>(ev.dst)].unacked;
-      auto chan = unacked.find(ev.src);
-      if (chan != unacked.end()) chan->second.erase(ev.tseq);
+      auto& unacked =
+          transport_state_[static_cast<std::size_t>(ev.dst)].channel(ev.src)
+              .unacked;
+      const auto it = find_pending(unacked, ev.tseq);
+      if (it != unacked.end()) unacked.erase(it);
       return;
     }
     case EventKind::kTimer: {
       const Rank sender = ev.dst;
       const Rank peer = ev.src;
-      auto& unacked = transport_state_[static_cast<std::size_t>(sender)].unacked;
-      auto chan = unacked.find(peer);
-      if (chan == unacked.end()) return;
-      auto it = chan->second.find(ev.tseq);
-      if (it == chan->second.end()) return;  // acked meanwhile: timer no-ops
+      auto& unacked =
+          transport_state_[static_cast<std::size_t>(sender)].channel(peer)
+              .unacked;
+      const auto it = find_pending(unacked, ev.tseq);
+      if (it == unacked.end()) return;  // acked meanwhile: timer no-ops
       // Still unacknowledged: the rank sat out the timeout, then retries.
       const double waited = ev.time - lane.now();
       if (waited > 0.0) ctx.record(Kind::kNoteBackoff).seconds = waited;
       lane.advance_to(ev.time);
-      Pending& entry = it->second;
+      Pending& entry = *it;
       entry.attempt += 1;
       EventContext::DeferredOp& retry = ctx.record(Kind::kNoteRetry);
       retry.peer = peer;
@@ -289,7 +345,7 @@ void EventEngine::dispatch(const Event& ev, EventContext& ctx) {
       resend.ticket.emplace(lane.begin_send(exempt));
       // See enqueue(): the exempt tail's delivery is guaranteed, so the
       // retransmission state goes now.
-      if (exempt) chan->second.erase(ev.tseq);
+      if (exempt) unacked.erase(it);
       return;
     }
   }

@@ -37,8 +37,6 @@
 #include <queue>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "runtime/comm_stats.hpp"
@@ -193,6 +191,18 @@ class EventEngine {
   [[nodiscard]] CommFabric& fabric() noexcept { return fabric_; }
   [[nodiscard]] const CommFabric& fabric() const noexcept { return fabric_; }
 
+  /// Reliable-transport state summed over the ranks (all zero without
+  /// faults): delivered sequence numbers held above the per-channel
+  /// watermarks for duplicate suppression (now, and the largest count any
+  /// one rank held at once), and unacknowledged messages kept for
+  /// retransmission.
+  struct TransportFootprint {
+    std::size_t out_of_order = 0;
+    std::size_t peak_out_of_order = 0;
+    std::size_t unacked = 0;
+  };
+  [[nodiscard]] TransportFootprint transport_footprint() const;
+
  private:
   friend class EventContext;
 
@@ -221,21 +231,40 @@ class EventEngine {
 
   /// An unacknowledged data message kept for retransmission.
   struct Pending {
+    std::uint64_t tseq = 0;
     std::vector<std::byte> payload;
     std::int64_t records = 0;
     int attempt = 0;  ///< Tries made so far.
   };
 
+  /// One rank's reliable-transport state towards one peer: the sender side
+  /// of the rank -> peer channel and the receiver side of peer -> rank.
+  struct PeerChannel {
+    Rank peer = kNoRank;
+    std::uint64_t next_tseq = 0;   ///< Sender: next sequence to assign.
+    std::vector<Pending> unacked;  ///< Sender: ascending tseq.
+    /// Receiver: every tseq below the watermark has been delivered; the
+    /// ones above it that have (ascending) wait for the gap to close, then
+    /// fold into the watermark, so the dedup state is bounded by the
+    /// messages in flight (TCP-style cumulative acknowledgement).
+    std::uint64_t delivered_below = 0;
+    std::vector<std::uint64_t> delivered_above;
+  };
+
   /// Per-rank reliable-transport bookkeeping. Indexed by rank id so the
   /// concurrent shards of a dispatch window touch disjoint slots: a rank's
-  /// sender-side state (next_tseq, unacked) is keyed by destination peer and
-  /// only its own timer/ack events mutate it, its receiver-side dedup set
-  /// (delivered) is keyed by source peer and only its own data events do.
+  /// sender-side state is mutated only by its own timer/ack events and by
+  /// the serial replay of its sends, its receiver-side state only by its
+  /// own data events.
   struct RankTransport {
-    std::unordered_map<Rank, std::uint64_t> next_tseq;
-    std::unordered_map<Rank, std::unordered_map<std::uint64_t, Pending>>
-        unacked;
-    std::unordered_map<Rank, std::unordered_set<std::uint64_t>> delivered;
+    std::vector<PeerChannel> peers;  ///< Sorted by peer; grows on first use.
+    std::size_t out_of_order = 0;    ///< Sum of delivered_above sizes.
+    std::size_t peak_out_of_order = 0;
+
+    /// The channel to `peer`, created on first use.
+    PeerChannel& channel(Rank peer);
+    /// Records the delivery of `tseq` from `peer`; false for a duplicate.
+    bool mark_delivered(Rank peer, std::uint64_t tseq);
   };
 
   void push_event(Event ev);

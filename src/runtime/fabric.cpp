@@ -77,6 +77,7 @@ double CommFabric::stall_clear(Rank r, double t) const {
 Rank CommFabric::add_rank() {
   clocks_.push_back(0.0);
   compute_seconds_.push_back(0.0);
+  channel_last_arrival_.emplace_back();
   trace_.add_rank();
   return static_cast<Rank>(clocks_.size()) - 1;
 }
@@ -166,13 +167,15 @@ CommFabric::SendReceipt CommFabric::post_send_at(SendTicket ticket, Rank dst,
   // artifact outside the FIFO guarantee (they may overtake later sends) but
   // never precede their own original.
   if (!receipt.dropped) {
-    const std::uint64_t channel =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-        static_cast<std::uint32_t>(dst);
-    auto [it, inserted] = channel_last_arrival_.try_emplace(channel, arrival);
-    if (!inserted) {
+    auto& channels = channel_last_arrival_[static_cast<std::size_t>(src)];
+    const auto it = std::lower_bound(
+        channels.begin(), channels.end(), dst,
+        [](const std::pair<Rank, double>& c, Rank r) { return c.first < r; });
+    if (it != channels.end() && it->first == dst) {
       arrival = std::max(arrival, it->second);
       it->second = arrival;
+    } else {
+      channels.insert(it, {dst, arrival});
     }
     if (receipt.duplicated) {
       receipt.duplicate_arrival =

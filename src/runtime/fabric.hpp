@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -35,7 +34,6 @@
 #include "runtime/machine_model.hpp"
 #include "runtime/serialize.hpp"
 #include "runtime/trace.hpp"
-#include "support/sorted.hpp"
 #include "support/types.hpp"
 
 namespace pmc {
@@ -314,10 +312,11 @@ class CommFabric {
   std::vector<double> clocks_;
   /// Charged compute seconds per rank (load-balance statistics).
   std::vector<double> compute_seconds_;
-  /// Last scheduled arrival per (src, dst) channel, enforcing FIFO order.
-  /// Sparse map: rank pairs that actually communicate are few (graph
-  /// neighbors), while a dense P*P array would not scale to 16k ranks.
-  std::unordered_map<std::uint64_t, double> channel_last_arrival_;
+  /// Last scheduled arrival per (src, dst) channel, enforcing FIFO order:
+  /// per source, (dst, arrival) pairs sorted by dst. They grow with the
+  /// channels a run uses (graph neighbours), where a dense P*P array would
+  /// not scale to 16k ranks.
+  std::vector<std::vector<std::pair<Rank, double>>> channel_last_arrival_;
   std::uint64_t send_seq_ = 0;
   CommStats comm_;
   CommTrace trace_;
@@ -334,37 +333,50 @@ enum class BundleMode {
 /// (and the unbundled ablation) shares one implementation.
 ///
 /// Records (any type with a fields() list, see serialize.hpp) are appended
-/// to the staged FrameWriter; the send callback receives (dst, framed
-/// payload, record_count) and forwards to the engine. With a non-zero flush
+/// to their destination's FrameWriter, one per rank of the destination set
+/// (the rank's neighbour ranks), and a flush visits only the writers touched
+/// since the last one. The send callback receives (dst, framed payload,
+/// record_count) and forwards to the engine. With a non-zero flush
 /// threshold, a destination's bundle is sent as soon as its staged
 /// *payload* (pre-frame encoded bytes) reaches the threshold (bounding
 /// message size without changing record order).
 class Bundler {
  public:
-  explicit Bundler(BundleMode mode, std::size_t flush_threshold_bytes = 0,
-                   WireCodec codec = WireCodec::kCompact)
-      : mode_(mode),
+  /// `dests` — every rank add() may address — must be sorted and unique.
+  Bundler(std::vector<Rank> dests, BundleMode mode,
+          std::size_t flush_threshold_bytes = 0,
+          WireCodec codec = WireCodec::kCompact)
+      : dests_(std::move(dests)),
+        out_(dests_.size(), FrameWriter(codec)),
+        mode_(mode),
         flush_threshold_bytes_(flush_threshold_bytes),
-        codec_(codec) {}
+        codec_(codec) {
+    PMC_CHECK(std::adjacent_find(dests_.begin(), dests_.end(),
+                                 std::greater_equal<>()) == dests_.end(),
+              "Bundler destination set must be sorted and unique");
+  }
 
   [[nodiscard]] BundleMode mode() const noexcept { return mode_; }
   [[nodiscard]] WireCodec codec() const noexcept { return codec_; }
 
-  /// Appends one record for dst. SendFn is void(Rank,
-  /// std::vector<std::byte>, std::int64_t records).
+  /// Appends one record for dst, which must be in the destination set.
+  /// SendFn is void(Rank, std::vector<std::byte>, std::int64_t records).
   template <typename R, typename SendFn>
   void add(Rank dst, const R& record, SendFn&& send) {
+    const auto it = std::lower_bound(dests_.begin(), dests_.end(), dst);
+    PMC_CHECK(it != dests_.end() && *it == dst,
+              "rank " << dst << " is outside the Bundler destination set");
     if (mode_ == BundleMode::kEager) {
       FrameWriter w(codec_);
       w.append(record);
       send(dst, w.take(), std::int64_t{1});
       return;
     }
-    auto it = out_.find(dst);
-    if (it == out_.end()) {
-      it = out_.try_emplace(dst, FrameWriter(codec_)).first;
-    }
-    FrameWriter& w = it->second;
+    const auto i = static_cast<std::size_t>(it - dests_.begin());
+    FrameWriter& w = out_[i];
+    // A threshold send empties a writer without untouching it, so an index
+    // may repeat here; flush() sends each writer once, while non-empty.
+    if (w.empty()) touched_.push_back(i);
     w.append(record);
     if (flush_threshold_bytes_ != 0 &&
         w.payload_size() >= flush_threshold_bytes_) {
@@ -374,33 +386,35 @@ class Bundler {
   }
 
   /// Sends every non-empty staged bundle in ascending destination order
-  /// (bundled mode; no-op when eager). Staging uses an unordered map, but
-  /// the flush order must never depend on its bucket layout: the send
-  /// sequence feeds FIFO channels, jitter and fault verdicts downstream.
+  /// (bundled mode; no-op when eager): the send sequence feeds FIFO
+  /// channels, jitter and fault verdicts downstream, so it must not follow
+  /// the order the destinations were first touched in.
   template <typename SendFn>
   void flush(SendFn&& send) {
-    if (mode_ == BundleMode::kEager) return;
-    for (const Rank dst : sorted_keys(out_)) {
-      FrameWriter& w = out_.at(dst);
+    std::sort(touched_.begin(), touched_.end());
+    for (const std::size_t i : touched_) {
+      FrameWriter& w = out_[i];
       if (w.empty()) continue;
       const std::int64_t records = w.records();
-      send(dst, w.take(), records);
+      send(dests_[i], w.take(), records);
     }
+    touched_.clear();
   }
 
   /// Records currently staged across all destinations.
   [[nodiscard]] std::int64_t staged_records() const noexcept {
     std::int64_t total = 0;
-    // pmc-lint: allow(D1): order-independent integer sum, no sends
-    for (const auto& [dst, w] : out_) total += w.records();
+    for (const FrameWriter& w : out_) total += w.records();
     return total;
   }
 
  private:
+  std::vector<Rank> dests_;
+  std::vector<FrameWriter> out_;      // parallel to dests_
+  std::vector<std::size_t> touched_;  // indices into dests_, since flush
   BundleMode mode_;
   std::size_t flush_threshold_bytes_;
   WireCodec codec_;
-  std::unordered_map<Rank, FrameWriter> out_;
 };
 
 /// The coloring's boundary announcement (§4.2): vertex `vertex` now has

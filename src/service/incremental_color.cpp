@@ -205,6 +205,7 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
       CanonState& st = states[static_cast<std::size_t>(r)];
       const LocalGraph& lg = *st.lg;
       auto& lost_r = lost[static_cast<std::size_t>(r)];
+      sort_lost(lost_r);
       std::vector<VertexId> next;
       // Owned neighbors of everything that changed color this round are
       // the canonicality re-check candidates.
@@ -238,10 +239,13 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
       if (faults_on && !lost_r.empty()) {
         // Some receiver missed an announcement: reset and re-enter those
         // vertices (they recolor — and re-announce — next round). The scan
-        // runs over the deterministic announcement list; the unordered set
-        // is only probed.
+        // runs over the deterministic announcement list; the sorted lost
+        // ids are only probed.
         for (const VertexId v : st.announced) {
-          if (lost_r.count(lg.global_id(v)) == 0) continue;
+          if (!std::binary_search(lost_r.begin(), lost_r.end(),
+                                  lg.global_id(v))) {
+            continue;
+          }
           st.color[static_cast<std::size_t>(v)] = kNoColor;
           st.to_color.push_back(v);
           ++reentries[static_cast<std::size_t>(r)];

@@ -2,13 +2,16 @@
 // boundary classification, invariants).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "partition/multilevel.hpp"
 #include "partition/simple.hpp"
 #include "runtime/dist_graph.hpp"
+#include "runtime/local_index.hpp"
 #include "support/error.hpp"
 
 namespace pmc {
@@ -106,6 +109,33 @@ TEST(DistGraph, LocalIdLookupForUnknownVertex) {
   const Partition p(2, {0, 0, 1, 1});
   const DistGraph dist = DistGraph::build(g, p);
   EXPECT_EQ(dist.local(0).local_id(3), kNoVertex);  // 3 not visible on rank 0
+}
+
+TEST(LocalIndex, InternGrowsAndFindsEveryId) {
+  // Interning grows the table past several doublings; every id keeps its
+  // first local id, and absent ids miss.
+  LocalIndex index;
+  std::vector<VertexId> ids;
+  std::uint64_t x = 12345;
+  for (int i = 0; i < 5000; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    const VertexId global =
+        i % 7 == 6 ? ids[ids.size() / 2] : static_cast<VertexId>(x >> 34);
+    const VertexId before = index.find(ids, global);
+    const auto size_before = ids.size();
+    const VertexId local = index.intern(ids, global);
+    if (before != kNoVertex) {
+      EXPECT_EQ(local, before);
+      EXPECT_EQ(ids.size(), size_before);
+    } else {
+      EXPECT_EQ(local, static_cast<VertexId>(size_before));
+    }
+  }
+  for (std::size_t l = 0; l < ids.size(); ++l) {
+    ASSERT_EQ(index.find(ids, ids[l]), static_cast<VertexId>(l));
+  }
+  EXPECT_EQ(index.find(ids, VertexId{-5}), kNoVertex);
+  EXPECT_EQ(LocalIndex{}.find(ids, ids.front()), kNoVertex);
 }
 
 class DistGraphSweep

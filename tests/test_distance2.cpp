@@ -114,8 +114,8 @@ TEST(Dist2View, TwoHopClosureOnPath) {
   const auto& v0 = views[0];
   EXPECT_EQ(v0.num_owned, 2);
   EXPECT_EQ(v0.num_local(), 4);
-  EXPECT_TRUE(v0.global_to_local.contains(3));
-  EXPECT_FALSE(v0.global_to_local.contains(4));
+  EXPECT_NE(v0.local_id(3), kNoVertex);
+  EXPECT_EQ(v0.local_id(4), kNoVertex);
   // Vertex 0 is d2-interior? No: vertex 2 (other rank) is at distance 2.
   EXPECT_EQ(v0.d2_boundary.size(), 2u);
   // Rank 2 owns {4}: recipients of 4's color = rank 1 (owns 3 at d1, 2 at d2).

@@ -427,7 +427,7 @@ struct SendLog {
 std::vector<int> bundler_round_trip(BundleMode mode, std::size_t threshold,
                                     int num_records, SendLog& log,
                                     WireCodec codec = WireCodec::kCompact) {
-  Bundler bundler(mode, threshold, codec);
+  Bundler bundler({0, 1, 2}, mode, threshold, codec);
   std::vector<int> staged;
   for (int i = 0; i < num_records; ++i) {
     const Rank dst = static_cast<Rank>(i % 3);
@@ -459,15 +459,15 @@ TEST(Bundler, BundledFlushLosesAndDuplicatesNothing) {
 }
 
 TEST(Bundler, FlushEmitsBundlesInAscendingDestinationOrder) {
-  // Determinism pin for the D1 lint migration: flush order must be the
-  // sorted destination order, never the staging map's bucket order — the
-  // send sequence feeds FIFO channels, jitter and fault verdicts. Stage
-  // destinations deliberately out of order and at a size that forces the
-  // unordered_map through at least one rehash.
+  // Determinism pin: flush order must be the sorted destination order,
+  // never the order destinations were first touched in — the send
+  // sequence feeds FIFO channels, jitter and fault verdicts.
   SendLog log;
-  Bundler bundler(BundleMode::kBundled);
   const Rank dsts[] = {41, 3, 29, 7, 101, 0, 57, 19, 83, 11,
                        67, 5, 97, 23, 31, 2,  89, 13, 71, 47};
+  std::vector<Rank> neighbours(std::begin(dsts), std::end(dsts));
+  std::sort(neighbours.begin(), neighbours.end());
+  Bundler bundler(neighbours, BundleMode::kBundled);
   for (const Rank dst : dsts) {
     bundler.add(dst, test::IdRecord{dst}, log.sink());
   }
@@ -480,13 +480,56 @@ TEST(Bundler, FlushEmitsBundlesInAscendingDestinationOrder) {
 
 TEST(Bundler, SecondFlushSendsNothing) {
   SendLog log;
-  Bundler bundler(BundleMode::kBundled);
+  Bundler bundler({1}, BundleMode::kBundled);
   bundler.add(1, test::IdRecord{7}, log.sink());
   bundler.flush(log.sink());
   const std::size_t after_first = log.sent.size();
   bundler.flush(log.sink());
   EXPECT_EQ(log.sent.size(), after_first);
   EXPECT_EQ(bundler.staged_records(), 0);
+}
+
+TEST(Bundler, FlushAfterTouchingOneOfManyNeighboursSendsOneMessage) {
+  std::vector<Rank> neighbours;
+  for (Rank r = 1; r <= 200; r += 2) neighbours.push_back(r);
+  Bundler bundler(neighbours, BundleMode::kBundled);
+  SendLog log;
+  bundler.add(77, test::IdRecord{5}, log.sink());
+  bundler.add(77, test::IdRecord{6}, log.sink());
+  EXPECT_EQ(bundler.staged_records(), 2);
+  bundler.flush(log.sink());
+  ASSERT_EQ(log.sent.size(), 1u);
+  EXPECT_EQ(log.sent[0].dst, 77);
+  EXPECT_EQ(log.sent[0].records, 2);
+  EXPECT_EQ(log.decode_ids(), (std::vector<int>{5, 6}));
+}
+
+TEST(Bundler, ThresholdSendThenRefillFlushesTheRemainderOnce) {
+  // A threshold send empties a writer that stays on the touched list; the
+  // records staged after it must leave in exactly one flush message.
+  SendLog log;
+  Bundler bundler({1, 2}, BundleMode::kBundled, 16, WireCodec::kFixed);
+  for (int i = 0; i < 3; ++i) bundler.add(2, test::IdRecord{i}, log.sink());
+  ASSERT_EQ(log.sent.size(), 1u);  // ids 0 and 1 reached the threshold
+  EXPECT_EQ(bundler.staged_records(), 1);
+  bundler.flush(log.sink());
+  ASSERT_EQ(log.sent.size(), 2u);
+  EXPECT_EQ(log.sent[1].dst, 2);
+  EXPECT_EQ(log.sent[1].records, 1);
+  EXPECT_EQ(log.decode_ids(), (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Bundler, RejectsADestinationOutsideItsNeighbourSet) {
+  SendLog log;
+  for (const BundleMode mode : {BundleMode::kBundled, BundleMode::kEager}) {
+    Bundler bundler({2, 5, 9}, mode);
+    EXPECT_THROW(bundler.add(3, test::IdRecord{1}, log.sink()), Error);
+    EXPECT_THROW(bundler.add(10, test::IdRecord{1}, log.sink()), Error);
+    EXPECT_THROW(bundler.add(0, test::IdRecord{1}, log.sink()), Error);
+  }
+  EXPECT_TRUE(log.sent.empty());
+  EXPECT_THROW(Bundler({5, 2}, BundleMode::kBundled), Error);
+  EXPECT_THROW(Bundler({2, 2}, BundleMode::kBundled), Error);
 }
 
 TEST(Bundler, ThresholdFlushBoundsStagedBytesWithoutLoss) {

@@ -165,6 +165,22 @@ TEST(Reweight, PreservesStructureChangesWeights) {
   EXPECT_TRUE(any_nonunit);
 }
 
+TEST(Reweight, DrawsTheGeneratorsPerEdgeWeights) {
+  // Weights are a hash of (seed, edge), so reweighting a unit grid must
+  // reproduce the weighted grid arc for arc.
+  const Graph g = reweight(grid_2d(9, 7, WeightKind::kUnit),
+                           WeightKind::kUniformRandom, 3);
+  const Graph want = grid_2d(9, 7, WeightKind::kUniformRandom, 3);
+  ASSERT_EQ(g.num_arcs(), want.num_arcs());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(g.offset_end(v), want.offset_end(v));
+    for (EdgeId a = g.offset_begin(v); a < g.offset_end(v); ++a) {
+      EXPECT_EQ(g.arc_target(a), want.arc_target(a));
+      EXPECT_EQ(g.arc_weight(a), want.arc_weight(a));
+    }
+  }
+}
+
 TEST(WeightKinds, IntegralWeightsProduceTies) {
   const Graph g = erdos_renyi(100, 1500, WeightKind::kIntegral, 1);
   bool found_tie = false;

@@ -85,6 +85,76 @@ TEST(GraphBuilder, KeepMaxPolicy) {
   EXPECT_DOUBLE_EQ(g.edge_weight(0, 1), 9.0);
 }
 
+/// Hub 0 joined to every other vertex (a row long enough for the stable
+/// sort), plus a ring over 1..n-1 (short rows for the insertion sort).
+std::vector<std::pair<VertexId, VertexId>> hub_and_ring(VertexId n) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 1; v < n; ++v) edges.emplace_back(0, v);
+  for (VertexId v = 1; v < n; ++v) edges.emplace_back(v, v + 1 < n ? v + 1 : 1);
+  return edges;
+}
+
+TEST(GraphBuilder, DuplicatePoliciesReadInsertionOrderOnEveryRow) {
+  // Every edge is inserted three times, with weights 1, 2, 3 in that order
+  // and alternating orientation; the hub row holds 3 * 59 arcs.
+  constexpr VertexId kN = 60;
+  const auto edges = hub_and_ring(kN);
+  for (const DuplicatePolicy policy :
+       {DuplicatePolicy::kKeepFirst, DuplicatePolicy::kKeepMax}) {
+    GraphBuilder b(kN, true, policy);
+    for (int round = 0; round < 3; ++round) {
+      for (const auto& [u, v] : edges) {
+        if (round == 1) {
+          b.add_edge(v, u, Weight{2});
+        } else {
+          b.add_edge(u, v, static_cast<Weight>(round + 1));
+        }
+      }
+    }
+    const Graph g = std::move(b).build();
+    g.validate();
+    ASSERT_EQ(g.num_edges(), static_cast<EdgeId>(edges.size()));
+    const Weight want = policy == DuplicatePolicy::kKeepFirst ? 1.0 : 3.0;
+    for (const auto& [u, v] : edges) {
+      EXPECT_EQ(g.edge_weight(u, v), want) << u << "-" << v;
+      EXPECT_EQ(g.edge_weight(v, u), want) << v << "-" << u;
+    }
+  }
+}
+
+TEST(GraphBuilder, UnweightedBuilderFoldsDuplicatesUnderEveryPolicy) {
+  constexpr VertexId kN = 40;
+  const auto edges = hub_and_ring(kN);
+  for (const DuplicatePolicy policy :
+       {DuplicatePolicy::kKeepFirst, DuplicatePolicy::kKeepMax}) {
+    GraphBuilder b(kN, false, policy);
+    for (int round = 0; round < 2; ++round) {
+      for (const auto& [u, v] : edges) b.add_edge(v, u, Weight{5});
+    }
+    const Graph g = std::move(b).build();
+    g.validate();
+    EXPECT_FALSE(g.has_weights());
+    EXPECT_EQ(g.num_edges(), static_cast<EdgeId>(edges.size()));
+    EXPECT_EQ(g.degree(0), kN - 1);
+  }
+}
+
+TEST(GraphBuilder, ErrorPolicyNamesTheFirstDuplicateInEdgeOrder) {
+  GraphBuilder b(5, true, DuplicatePolicy::kError);
+  b.add_edge(3, 4, 1.0);
+  b.add_edge(4, 3, 1.0);
+  b.add_edge(2, 1, 1.0);
+  b.add_edge(1, 2, 1.0);
+  try {
+    (void)std::move(b).build();
+    FAIL() << "duplicate accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate edge (1, 2)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(GraphBuilder, ErrorPolicyThrowsOnDuplicate) {
   GraphBuilder b(2, true, DuplicatePolicy::kError);
   b.add_edge(0, 1, 1.0);

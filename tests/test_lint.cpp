@@ -1,13 +1,15 @@
 // Fixture suite for pmc-lint (tools/pmc-lint): every determinism rule
-// (D1, D2, D3, D5) must both fire on its violation fixture and stay silent
-// on the conforming one, the allow() suppression path must work (and demand a
+// (D1, D2, D3) must both fire on its violation fixture and stay silent on
+// the conforming one, the allow() suppression path must work (and demand a
 // justification), and the path-based rule scoping must carve out the
-// sanctioned homes (rng/timer for entropy, serialize for raw bytes).
+// sanctioned homes (rng/timer for entropy, serialize for raw bytes, graph
+// and sequential code for hash containers).
 //
 // The v2 whole-program analysis gets the same treatment: the D10
-// stale-suppression audit, D1–D5 propagation through one level of helper
+// stale-suppression audit, D2/D3 propagation through one level of helper
 // indirection, and the SARIF / JSON report plumbing. The retired D4, D6,
-// D7, D8 and D9 are compile-fail tests now (tests/compile_fail/).
+// D7, D8 and D9 are compile-fail tests now (tests/compile_fail/); D5 is
+// retired with the hash iteration it scanned for.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -53,18 +55,42 @@ std::vector<Diagnostic> with_rule(const std::vector<Diagnostic>& diags,
   return out;
 }
 
-// ---- D1: unordered iteration in message-producing code --------------------
-
-TEST(LintD1, FiresOnUnorderedRangeIterationFeedingSends) {
-  const auto d1 = with_rule(lint_fixture("d1_violation.cpp"), "D1");
-  ASSERT_EQ(d1.size(), 1u);
-  EXPECT_FALSE(d1[0].suppressed);
-  EXPECT_EQ(d1[0].line, 12);
-  EXPECT_NE(d1[0].message.find("sorted_keys"), std::string::npos);
+std::string read_fixture(const std::string& name) {
+  std::ifstream in(fixture(name), std::ios::binary);
+  EXPECT_TRUE(in.good()) << name;
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
-TEST(LintD1, SilentOnSortedSnapshotAndPlainVectors) {
-  EXPECT_TRUE(with_rule(lint_fixture("d1_clean.cpp"), "D1").empty());
+// ---- D1: hash-container includes on the message path -------------------------
+
+TEST(LintD1, FiresOnEachHashContainerInclude) {
+  const auto d1 = with_rule(lint_fixture("d1_violation.cpp"), "D1");
+  // The two #include lines; the comment, the string literal and the quoted
+  // include that name the headers do not count.
+  ASSERT_EQ(d1.size(), 2u);
+  EXPECT_EQ(d1[0].line, 6);
+  EXPECT_NE(d1[0].message.find("<unordered_map>"), std::string::npos);
+  EXPECT_EQ(d1[1].line, 8);
+  EXPECT_NE(d1[1].message.find("<unordered_set>"), std::string::npos);
+  for (const auto& d : d1) {
+    EXPECT_FALSE(d.suppressed);
+    EXPECT_NE(d.message.find("neighbour index"), std::string::npos);
+  }
+}
+
+TEST(LintD1, SilentOnGraphCodeThatHashes) {
+  const std::string text = read_fixture("d1_clean.cpp");
+  const auto in_graph = pmc_lint::analyze_source(
+      "src/graph/d1_clean.cpp", text,
+      pmc_lint::scope_for_path("src/graph/d1_clean.cpp"));
+  EXPECT_TRUE(in_graph.empty());
+  // The same file on the message path is a finding.
+  const auto in_service = pmc_lint::analyze_source(
+      "src/service/d1_clean.cpp", text,
+      pmc_lint::scope_for_path("src/service/d1_clean.cpp"));
+  ASSERT_EQ(with_rule(in_service, "D1").size(), 1u);
+  EXPECT_EQ(with_rule(in_service, "D1")[0].line, 5);
 }
 
 TEST(LintD1, SuppressionNeedsAJustification) {
@@ -72,7 +98,8 @@ TEST(LintD1, SuppressionNeedsAJustification) {
   ASSERT_EQ(d1.size(), 2u);
   // First hit: justified allow() on the line above — suppressed.
   EXPECT_TRUE(d1[0].suppressed);
-  EXPECT_EQ(d1[0].justification, "order-independent integer sum, no sends");
+  EXPECT_EQ(d1[0].justification,
+            "scratch set probed for membership, never iterated");
   // Second hit: allow() without a justification — still counts.
   EXPECT_FALSE(d1[1].suppressed);
   EXPECT_NE(d1[1].message.find("no justification"), std::string::npos);
@@ -104,18 +131,6 @@ TEST(LintD3, SilentOnFrameCodecUsage) {
   EXPECT_TRUE(with_rule(lint_fixture("d3_clean.cpp"), "D3").empty());
 }
 
-// ---- D5: FP reduction in hash order ----------------------------------------
-
-TEST(LintD5, FiresOnFloatAccumulationUnderUnorderedIteration) {
-  const auto d5 = with_rule(lint_fixture("d5_violation.cpp"), "D5");
-  ASSERT_EQ(d5.size(), 1u);
-  EXPECT_NE(d5[0].message.find("order-sensitive"), std::string::npos);
-}
-
-TEST(LintD5, SilentOnIntegerFoldsAndSortedSnapshots) {
-  EXPECT_TRUE(with_rule(lint_fixture("d5_clean.cpp"), "D5").empty());
-}
-
 // ---- rule scoping ----------------------------------------------------------
 
 TEST(LintScope, SanctionedHomesAreExempt) {
@@ -129,31 +144,19 @@ TEST(LintScope, SanctionedHomesAreExempt) {
   EXPECT_TRUE(pmc_lint::scope_for_path("src/runtime/fabric.hpp").d3);
 }
 
-TEST(LintScope, D1BindsToMessageProducingDirectories) {
+TEST(LintScope, D1BindsToTheMessagePath) {
   EXPECT_TRUE(pmc_lint::scope_for_path("src/matching/parallel.cpp").d1);
   EXPECT_TRUE(pmc_lint::scope_for_path("src/coloring/parallel.cpp").d1);
   EXPECT_TRUE(pmc_lint::scope_for_path("src/runtime/fabric.hpp").d1);
-  // Sequential/graph code orders nothing on the wire; D5 still applies.
-  const auto graph = pmc_lint::scope_for_path("src/graph/algorithms.cpp");
-  EXPECT_FALSE(graph.d1);
-  EXPECT_TRUE(graph.d5);
+  EXPECT_TRUE(pmc_lint::scope_for_path("src/service/service.cpp").d1);
+  // Graph, partition and support code send nothing; they may hash.
+  EXPECT_FALSE(pmc_lint::scope_for_path("src/graph/algorithms.cpp").d1);
+  EXPECT_FALSE(pmc_lint::scope_for_path("src/partition/multilevel.cpp").d1);
+  EXPECT_FALSE(pmc_lint::scope_for_path("src/support/options.cpp").d1);
+  EXPECT_FALSE(pmc_lint::scope_for_path("tools/pmc-lint/lint.cpp").d1);
   // Absolute build paths normalize to the repo-relative form.
   EXPECT_TRUE(
       pmc_lint::scope_for_path("/root/repo/src/matching/parallel.cpp").d1);
-}
-
-TEST(LintScope, PathScopingChangesTheFindings) {
-  std::ifstream in(fixture("d1_violation.cpp"), std::ios::binary);
-  ASSERT_TRUE(in.good());
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const auto in_runtime = pmc_lint::analyze_source(
-      "src/runtime/x.cpp", text,
-      pmc_lint::scope_for_path("src/runtime/x.cpp"));
-  EXPECT_EQ(with_rule(in_runtime, "D1").size(), 1u);
-  const auto in_graph = pmc_lint::analyze_source(
-      "src/graph/x.cpp", text, pmc_lint::scope_for_path("src/graph/x.cpp"));
-  EXPECT_TRUE(with_rule(in_graph, "D1").empty());
 }
 
 // ---- D10: stale-suppression audit -------------------------------------------
@@ -188,44 +191,39 @@ TEST(LintD10, ParkedLedgerEntrySuppressibleWithAllowD10) {
   EXPECT_EQ(pmc_lint::failing_count(report), 0u);
 }
 
-// ---- D1-D5 propagation through helper indirection ---------------------------
+// ---- D2/D3 propagation through helper indirection ---------------------------
 
 TEST(LintPropagation, ScopeHiddenHelperTaintsLiveCallSitesOnly) {
-  // The helper's own file (src/graph) is outside D1's scope, so the hash-
-  // order loop hides there; the call from message-producing code inherits
-  // the finding, the call from another src/graph file does not.
+  // The helper's own file (the codec) is outside D3's scope, so its byte
+  // copy hides there; the call from matching code inherits the finding,
+  // the call from another codec file does not.
   const std::vector<pmc_lint::SourceFile> srcs = {
-      {"src/graph/bucket_sum.cpp",
-       "#include <unordered_map>\n"
+      {"src/runtime/serialize.cpp",
+       "#include <cstring>\n"
        "namespace pmc {\n"
-       "long bucket_sum(const std::unordered_map<int, long>& m) {\n"
-       "  long total = 0;\n"
-       "  for (const auto& [k, v] : m) total += v;\n"
-       "  return total;\n"
+       "void copy_words(long* dst, const long* src, int n) {\n"
+       "  memcpy(dst, src, sizeof(long) * n);\n"
        "}\n"
        "}  // namespace pmc\n"},
-      {"src/matching/ship_totals.cpp",
-       "#include <unordered_map>\n"
+      {"src/matching/pack.cpp",
        "namespace pmc {\n"
-       "struct RankCtx { void send(int, long, long); };\n"
-       "void ship_totals(RankCtx& ctx,\n"
-       "                 const std::unordered_map<int, long>& m) {\n"
-       "  ctx.send(0, bucket_sum(m), 1);\n"
+       "void pack(long* out, const long* in) {\n"
+       "  copy_words(out, in, 4);\n"
        "}\n"
        "}  // namespace pmc\n"},
-      {"src/graph/grand_total.cpp",
-       "#include <unordered_map>\n"
+      {"src/runtime/serialize.hpp",
        "namespace pmc {\n"
-       "long grand_total(const std::unordered_map<int, long>& m) {\n"
-       "  return bucket_sum(m);\n"
+       "inline void pack_codec(long* out, const long* in) {\n"
+       "  copy_words(out, in, 2);\n"
        "}\n"
        "}  // namespace pmc\n"}};
   const auto report = pmc_lint::analyze_program(srcs, {});
-  const auto d1 = with_rule(report.diagnostics, "D1");
-  ASSERT_EQ(d1.size(), 1u);
-  EXPECT_EQ(d1[0].file, "src/matching/ship_totals.cpp");
-  EXPECT_NE(d1[0].message.find("bucket_sum"), std::string::npos);
-  EXPECT_NE(d1[0].message.find("scope hides"), std::string::npos);
+  const auto d3 = with_rule(report.diagnostics, "D3");
+  ASSERT_EQ(d3.size(), 1u);
+  EXPECT_EQ(d3[0].file, "src/matching/pack.cpp");
+  EXPECT_EQ(d3[0].line, 3);
+  EXPECT_NE(d3[0].message.find("copy_words"), std::string::npos);
+  EXPECT_NE(d3[0].message.find("scope hides"), std::string::npos);
 }
 
 // ---- SARIF ------------------------------------------------------------------
@@ -235,20 +233,22 @@ TEST(LintSarif, WellFormedRunWithRulesSuppressionsAndLevels) {
   const std::string sarif = pmc_lint::to_sarif(report);
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
   EXPECT_NE(sarif.find("\"name\": \"pmc-lint\""), std::string::npos);
-  for (const char* id : {"D1", "D2", "D3", "D5", "D10"}) {
+  for (const char* id : {"D1", "D2", "D3", "D10"}) {
     EXPECT_NE(sarif.find(std::string("{\"id\": \"") + id + "\""),
               std::string::npos)
         << "rule " << id << " missing from the driver";
   }
-  // Retired rules (now enforced by types) are no longer declared.
-  for (const char* id : {"D4", "D6", "D7", "D8", "D9"}) {
+  // Retired rules (enforced by types, or with nothing left to scan) are no
+  // longer declared.
+  for (const char* id : {"D4", "D5", "D6", "D7", "D8", "D9"}) {
     EXPECT_EQ(sarif.find(std::string("{\"id\": \"") + id + "\""),
               std::string::npos)
         << "retired rule " << id << " still declared";
   }
   // One justified suppression (note) and one unsuppressed finding (error).
   EXPECT_NE(sarif.find("\"kind\": \"inSource\""), std::string::npos);
-  EXPECT_NE(sarif.find("order-independent integer sum"), std::string::npos);
+  EXPECT_NE(sarif.find("scratch set probed for membership"),
+            std::string::npos);
   EXPECT_NE(sarif.find("\"level\": \"note\""), std::string::npos);
   EXPECT_NE(sarif.find("\"level\": \"error\""), std::string::npos);
 }
@@ -335,7 +335,8 @@ TEST(LintDriver, JsonReportCountsSuppressedAndUnsuppressed) {
   EXPECT_NE(json.find("\"files_scanned\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"suppressed\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"unsuppressed\": 1"), std::string::npos);
-  EXPECT_NE(json.find("order-independent integer sum"), std::string::npos);
+  EXPECT_NE(json.find("scratch set probed for membership"),
+            std::string::npos);
 }
 
 }  // namespace

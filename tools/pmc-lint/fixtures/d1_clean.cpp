@@ -1,21 +1,11 @@
-// Fixture: D1 must stay silent — the staging map is walked through the
-// sorted-snapshot helper, and a plain vector iteration is never flagged.
+// Fixture: D1 must stay silent on graph code, which may still hash: the
+// test lints this file as src/graph/d1_clean.cpp. Scan fodder for the lint
+// fixture suite, not compiled.
 #include <cstdint>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
-#include "support/sorted.hpp"
-
-struct FrameWriter {};
-using Rank = std::int32_t;
-
-void ship(void (*send)(Rank, FrameWriter&)) {
-  std::unordered_map<Rank, FrameWriter> out;
-  for (const Rank dst : pmc::sorted_keys(out)) {
-    send(dst, out.at(dst));
-  }
-  std::vector<Rank> touched;
-  for (const Rank dst : touched) {
-    send(dst, out.at(dst));
-  }
+std::int64_t distinct(const std::vector<std::int64_t>& keys) {
+  std::unordered_set<std::int64_t> used(keys.begin(), keys.end());
+  return static_cast<std::int64_t>(used.size());
 }

@@ -1,21 +1,8 @@
 // Fixture: the suppression path — a D1 hit covered by a justified allow()
 // comment must be reported as suppressed, and an allow() without a
-// justification must not count.
-#include <cstdint>
+// justification must not count. Scan fodder for the lint suite, not compiled.
+
+// pmc-lint: allow(D1): scratch set probed for membership, never iterated
+#include <unordered_set>
+// pmc-lint: allow(D1)
 #include <unordered_map>
-
-using Rank = std::int32_t;
-
-std::int64_t total_records(const std::unordered_map<Rank, std::int64_t>& m) {
-  std::int64_t total = 0;
-  // pmc-lint: allow(D1): order-independent integer sum, no sends
-  for (const auto& [dst, records] : m) total += records;
-  return total;
-}
-
-std::int64_t bad_suppression(const std::unordered_map<Rank, std::int64_t>& m) {
-  std::int64_t total = 0;
-  // pmc-lint: allow(D1)
-  for (const auto& [dst, records] : m) total += records;
-  return total;
-}

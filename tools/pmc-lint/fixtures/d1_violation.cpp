@@ -1,15 +1,12 @@
-// Fixture: D1 must fire — range-iteration over an unordered map feeding a
-// send. The file is scan fodder for the lint fixture suite, not compiled.
+// Fixture: D1 must fire on each hash-container include of a message-path
+// file, and only on the includes: the names in this comment
+// (<unordered_map>), in a string or in a quoted include are no directive.
+// Scan fodder for the lint fixture suite, not compiled.
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
+#include <unordered_set>
 
-struct FrameWriter {};
-using Rank = std::int32_t;
+#include "runtime/unordered_notes.hpp"
 
-void ship(void (*send)(Rank, FrameWriter&)) {
-  std::unordered_map<Rank, FrameWriter> out;
-  for (auto& [dst, w] : out) {
-    send(dst, w);
-  }
-}
+const char* kDoc = "#include <unordered_set>";

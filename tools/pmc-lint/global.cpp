@@ -1,6 +1,6 @@
 // pmc-lint pass 2: the cross-TU rules over the whole-program index.
 //
-//   D1/D2/D3/D5 helper propagation — a helper whose own file hides a
+//   D2/D3 helper propagation — a helper whose own file hides a
 //       banned core pattern from the rule's scope taints every call site
 //       where the rule is live (one level deep).
 //   D10 stale-suppression audit — allow() comments that match nothing fail
@@ -48,7 +48,7 @@ struct GlobalPass {
     diags.push_back(std::move(d));
   }
 
-  // ---- D1/D2/D3/D5 helper propagation -------------------------------------
+  // ---- D2/D3 helper propagation -------------------------------------------
 
   void propagate_file_rules(const std::set<std::string>& direct_keys) {
     // Taints: unsuppressed core-pattern hits that the helper's own file
@@ -58,8 +58,9 @@ struct GlobalPass {
       std::map<std::string, std::pair<int, std::string>> exemplar;
     };
     std::map<const FunctionInfo*, Taint> taints;
+    // D1 bans an include, which no function body holds: nothing to carry.
     RuleScope everything;
-    everything.d1 = everything.d2 = everything.d3 = everything.d5 = true;
+    everything.d2 = everything.d3 = true;
     for (std::size_t f = 0; f < index.files.size(); ++f) {
       const FileIndex& fi = index.files[f];
       const std::vector<Diagnostic> potential =
@@ -83,10 +84,8 @@ struct GlobalPass {
 
     auto rule_enabled = [&](std::size_t f, const std::string& r) {
       const RuleScope& s = scopes[f];
-      if (r == "D1") return s.d1;
       if (r == "D2") return s.d2;
       if (r == "D3") return s.d3;
-      if (r == "D5") return s.d5;
       return false;
     };
 
@@ -221,14 +220,12 @@ struct SarifRule {
 };
 
 constexpr SarifRule kSarifRules[] = {
-    {"D1", "No unordered-container range-iteration in message-producing "
-           "code; snapshot with sorted_keys()/sorted_items()."},
+    {"D1", "No <unordered_map>/<unordered_set> include on the message "
+           "path (src/runtime, src/matching, src/coloring, src/service)."},
     {"D2", "No hidden entropy; randomness flows through pmc::Rng, wall time "
            "through WallTimer."},
     {"D3", "No raw memcpy/reinterpret_cast serialization outside the frame "
            "codec."},
-    {"D5", "No floating-point accumulation under an unordered-container "
-           "iteration."},
     {"D10", "allow() comments that no longer match anything are stale and "
             "fail the build."},
 };

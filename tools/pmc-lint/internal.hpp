@@ -46,7 +46,7 @@ struct Token {
 
 // ---- per-file rule pass ----------------------------------------------------
 
-/// Runs the single-file rules D1, D2, D3 and D5 over a pre-stripped,
+/// Runs the single-file rules D1, D2 and D3 over a pre-stripped,
 /// pre-tokenized view.
 [[nodiscard]] std::vector<Diagnostic> file_rules(const std::string& path,
                                                  const SourceView& view,
@@ -90,7 +90,7 @@ struct ProgramIndex {
 
 [[nodiscard]] ProgramIndex build_index(const std::vector<SourceFile>& sources);
 
-/// Pass 2: helper-indirection propagation for D1-D5 plus the D10
+/// Pass 2: helper-indirection propagation for D2 and D3 plus the D10
 /// stale-suppression audit over `diags` (every diagnostic already produced,
 /// including the per-file pass — allow consumption is read off allow_line).
 /// Appends its findings to `diags`.

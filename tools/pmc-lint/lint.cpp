@@ -236,9 +236,8 @@ class Analyzer {
         tokens_(tokens) {}
 
   std::vector<Diagnostic> run() {
-    collect_declared_vars();
+    check_hash_container_includes();
     check_banned_calls();
-    check_range_loops();
     std::sort(diags_.begin(), diags_.end(),
               [](const Diagnostic& a, const Diagnostic& b) {
                 if (a.line != b.line) return a.line < b.line;
@@ -263,43 +262,23 @@ class Analyzer {
     diags_.push_back(std::move(d));
   }
 
-  /// Balances template angle brackets starting at tokens_[i] == "<";
-  /// returns the index just past the matching ">".
-  std::size_t skip_angles(std::size_t i) {
-    int depth = 0;
-    while (i < tokens_.size()) {
-      const std::string& t = tokens_[i].text;
-      if (t == "<") ++depth;
-      if (t == ">" && --depth == 0) return i + 1;
-      // A template argument list never contains ; or { — bail on malformed
-      // input instead of eating the rest of the file.
-      if (t == ";" || t == "{") return i;
-      ++i;
-    }
-    return i;
-  }
-
-  /// Variable names declared with an unordered container type, and names
-  /// declared float/double (for the D5 accumulation check).
-  void collect_declared_vars() {
-    for (std::size_t i = 0; i < tokens_.size(); ++i) {
-      const Token& t = tokens_[i];
-      if (!t.is_ident) continue;
-      if (t.text == "unordered_map" || t.text == "unordered_set" ||
-          t.text == "unordered_multimap" || t.text == "unordered_multiset") {
-        std::size_t j = i + 1;
-        if (tok(j).text != "<") continue;  // e.g. #include <unordered_map>
-        j = skip_angles(j);
-        // Close any enclosing template (vector<unordered_set<T>> lost) and
-        // skip ref/pointer decorations before the declared name.
-        while (tok(j).text == ">" || tok(j).text == "&" ||
-               tok(j).text == "*" || tok(j).text == "const") {
-          ++j;
-        }
-        if (tok(j).is_ident) unordered_vars_.insert(tok(j).text);
-      } else if (t.text == "double" || t.text == "float") {
-        if (tok(i + 1).is_ident) float_vars_.insert(tok(i + 1).text);
+  /// D1: no hash-container header on the message path. The stripped view
+  /// keeps an include's <...> name (only "..." names are blanked), so the
+  /// directive is the token run # include < name >.
+  void check_hash_container_includes() {
+    if (!scope_.d1) return;
+    for (std::size_t i = 0; i + 4 < tokens_.size(); ++i) {
+      if (tokens_[i].text != "#" || tokens_[i + 1].text != "include" ||
+          tokens_[i + 2].text != "<" || tokens_[i + 4].text != ">") {
+        continue;
       }
+      const std::string& header = tokens_[i + 3].text;
+      if (header != "unordered_map" && header != "unordered_set") continue;
+      report("D1", tokens_[i].line,
+             "#include <" + header +
+                 "> on the message path (src/runtime, src/matching, "
+                 "src/coloring, src/service) — key per-message state by "
+                 "neighbour index or local id in flat arrays instead");
     }
   }
 
@@ -358,91 +337,10 @@ class Analyzer {
     return w == "return" || w == "co_return" || w == "case" || w == "throw";
   }
 
-  /// D1 (unordered range-iteration in message-producing code) and D5
-  /// (floating-point accumulation under an unordered iteration).
-  void check_range_loops() {
-    for (std::size_t i = 0; i + 1 < tokens_.size(); ++i) {
-      if (!(tokens_[i].is_ident && tokens_[i].text == "for")) continue;
-      if (tok(i + 1).text != "(") continue;
-      // Find the matching ')' and a top-level ':' (range-for separator; '::'
-      // is a single token, so a lone ':' is unambiguous).
-      std::size_t colon = 0, close = 0;
-      int depth = 0;
-      for (std::size_t j = i + 1; j < tokens_.size(); ++j) {
-        const std::string& t = tokens_[j].text;
-        if (t == "(") ++depth;
-        if (t == ")" && --depth == 0) {
-          close = j;
-          break;
-        }
-        if (t == ":" && depth == 1 && colon == 0) colon = j;
-      }
-      if (close == 0 || colon == 0) continue;
-      bool unordered = false;
-      bool blessed = false;
-      for (std::size_t j = colon + 1; j < close; ++j) {
-        if (!tokens_[j].is_ident) continue;
-        // The sorted-snapshot helpers take the unordered container as an
-        // argument; iterating their result is the sanctioned pattern.
-        if (tokens_[j].text == "sorted_keys" ||
-            tokens_[j].text == "sorted_items") {
-          blessed = true;
-          break;
-        }
-        if (unordered_vars_.count(tokens_[j].text) != 0 ||
-            tokens_[j].text == "unordered_map" ||
-            tokens_[j].text == "unordered_set") {
-          unordered = true;
-        }
-      }
-      if (blessed || !unordered) continue;
-      if (scope_.d1) {
-        report("D1", tokens_[i].line,
-               "range-iteration over an unordered container in "
-               "message-producing code — hash order is not a protocol "
-               "order; snapshot with sorted_keys()/sorted_items() "
-               "(support/sorted.hpp)");
-      }
-      if (scope_.d5) check_float_accumulation(close);
-    }
-  }
-
-  /// Scans the loop body that starts after tokens_[close] == ")" for a
-  /// `x +=` / `x -=` on a float/double variable.
-  void check_float_accumulation(std::size_t close) {
-    std::size_t begin = close + 1;
-    std::size_t end;
-    if (tok(begin).text == "{") {
-      int depth = 0;
-      end = begin;
-      while (end < tokens_.size()) {
-        if (tokens_[end].text == "{") ++depth;
-        if (tokens_[end].text == "}" && --depth == 0) break;
-        ++end;
-      }
-    } else {  // single-statement body
-      end = begin;
-      while (end < tokens_.size() && tokens_[end].text != ";") ++end;
-    }
-    for (std::size_t j = begin; j < end; ++j) {
-      if ((tokens_[j].text == "+=" || tokens_[j].text == "-=") && j > 0 &&
-          tokens_[j - 1].is_ident &&
-          float_vars_.count(tokens_[j - 1].text) != 0) {
-        report("D5", tokens_[j].line,
-               "floating-point accumulation into '" + tokens_[j - 1].text +
-                   "' inside an unordered-container iteration — FP "
-                   "addition is order-sensitive; reduce over a sorted "
-                   "snapshot instead");
-      }
-    }
-  }
-
   std::string path_;
   RuleScope scope_;
   const std::unordered_map<int, Allow>& allows_;
   const std::vector<Token>& tokens_;
-  std::unordered_set<std::string> unordered_vars_;
-  std::unordered_set<std::string> float_vars_;
   std::vector<Diagnostic> diags_;
 };
 
@@ -469,18 +367,18 @@ RuleScope scope_for_path(const std::string& path) {
   const std::string p = internal::normalize_path(path);
   RuleScope scope;
   if (!starts_with(p, "src/")) return scope;
-  scope.d5 = true;
   scope.d2 = !(starts_with(p, "src/support/rng.") ||
                p == "src/support/timer.hpp");
   scope.d3 = !starts_with(p, "src/runtime/serialize.");
-  scope.d1 = starts_with(p, "src/matching/") ||
+  scope.d1 = starts_with(p, "src/runtime/") ||
+             starts_with(p, "src/matching/") ||
              starts_with(p, "src/coloring/") ||
-             starts_with(p, "src/runtime/");
+             starts_with(p, "src/service/");
   return scope;
 }
 
 RuleScope all_rules() {
-  return RuleScope{true, true, true, true};
+  return RuleScope{true, true, true};
 }
 
 std::vector<Diagnostic> analyze_source(const std::string& path,

@@ -6,24 +6,25 @@
 // of each translation unit, tuned to this codebase's idiom, and every
 // diagnostic can be suppressed in place with a justification:
 //
-//     // pmc-lint: allow(D1): order-independent integer sum, no sends
+//     // pmc-lint: allow(D3): the codec's own byte copy
 //
 // on the diagnostic's line or the line directly above it. A suppression
 // without a justification text does not count.
 //
 // v2 runs in two passes. Pass 1 indexes every function definition in the
 // scanned sources (name, file:line, body tokens). Pass 2 runs the per-file
-// rules D1, D2, D3 and D5, lets them propagate through one level of helper
+// rules D1, D2 and D3, lets D2 and D3 propagate through one level of helper
 // indirection via the call graph (a helper whose own file hides a banned
 // pattern from its scope taints every call site where the rule is live),
 // and finally runs the D10 audit over the whole run.
 //
 // Rules (scopes are path predicates relative to the repo root):
 //
-//   D1  no unordered_map/unordered_set range-iteration in message-producing
-//       code (src/matching, src/coloring, src/runtime) — hash-order
-//       traversals would tie send sequences to the standard library's
-//       bucket layout. Use the sorted-snapshot helpers (support/sorted.hpp).
+//   D1  no #include <unordered_map> / <unordered_set> on the message path
+//       (src/runtime, src/matching, src/coloring, src/service). Per-message
+//       state there is flat, keyed by neighbour index or local id, so its
+//       cost and visit order follow the algorithm, never a hash table's
+//       bucket layout. Sequential and graph code may still hash.
 //   D2  no hidden entropy: rand, srand, std::random_device, time(),
 //       std::chrono::system_clock anywhere outside src/support/rng.* and
 //       src/support/timer.hpp. All randomness flows through pmc::Rng; all
@@ -31,13 +32,10 @@
 //   D3  no raw memcpy / reinterpret_cast serialization outside
 //       src/runtime/serialize.* — wire traffic goes through the versioned,
 //       checksummed frame codec.
-//   D5  no float/double accumulation inside an unordered-container
-//       range-iteration anywhere in src/ — FP addition is order-sensitive,
-//       so a hash-order reduction is silently nondeterministic.
-//   D4, D6, D7, D8 and D9 are reserved: the runtime's types enforce those
-//       invariants now (DESIGN.md §7, tests/compile_fail/). Records encode
-//       and decode only through their one fields() list, and the decoder
-//       checks for trailing bytes itself (src/runtime/serialize.hpp).
+//   D4 to D9 are retired: the runtime's types enforce D4, D6, D7, D8 and
+//       D9 now (DESIGN.md §7, tests/compile_fail/), and D5 (floating-point
+//       accumulation in hash order) has no hash iteration left to scan on
+//       the message path, which D1 keeps hash-free.
 //   D10 stale-suppression audit (whole run): an allow() comment that no
 //       longer suppresses any diagnostic fails the build, keeping the
 //       suppression ledger honest.
@@ -66,10 +64,9 @@ struct Diagnostic {
 /// Which rule families apply to a file, derived from its path. D10 is a
 /// run-level audit, not a per-file rule, so it has no entry here.
 struct RuleScope {
-  bool d1 = false;  ///< Message-producing code (matching/coloring/runtime).
+  bool d1 = false;  ///< The message path (runtime/matching/coloring/service).
   bool d2 = false;  ///< Everything except the entropy allowlist.
   bool d3 = false;  ///< Everything except serialize.*.
-  bool d5 = false;  ///< All of src/.
 };
 
 /// Scope for a path as the CI lint run uses it: `path` is normalized to the
@@ -80,7 +77,7 @@ struct RuleScope {
 /// can be exercised regardless of where the fixture file lives.
 [[nodiscard]] RuleScope all_rules();
 
-/// Runs every in-scope *per-file* rule (D1, D2, D3, D5) over one file's
+/// Runs every in-scope *per-file* rule (D1, D2, D3) over one file's
 /// contents. `path` is used for diagnostics only; scoping is the caller's
 /// job (scope_for_path). Helper propagation and the D10 audit need the
 /// whole-program view: use analyze_program.
@@ -115,7 +112,8 @@ struct ProgramReport {
 };
 
 /// The two-pass analysis: per-file rules, then one-level helper propagation
-/// for D1-D5 over the whole-program index, then the D10 suppression audit.
+/// for D2 and D3 over the whole-program index, then the D10 suppression
+/// audit.
 [[nodiscard]] ProgramReport analyze_program(
     const std::vector<SourceFile>& sources, const ProgramOptions& opts);
 

@@ -7,7 +7,7 @@
 //
 // With --compile-commands the tool lints every src/ translation unit the
 // build knows about, plus the headers under src/ (headers never appear in
-// compile_commands but hold template code — Bundler::flush lived in one).
+// compile_commands, but their includes and template code are in scope).
 // Several databases may be given (build/, build-asan/, build-tsan/); a
 // source listed by more than one is linted once. Explicit file arguments
 // are linted as given; --all-rules overrides the path-based scoping (the

@@ -291,6 +291,94 @@ TEST(DeterminismRegression, VerifierSendPathScenarios) {
   expect_pinned(vc.run, 0, {6.4322800000000014e-05, 30, 1717, 236, 2, 0});
 }
 
+// Pins for Jones–Plassmann's per-neighbour send path: each round stages the
+// colors of the vertices it fixed into one writer per neighbour rank and
+// ships them in ascending rank order. Modelled time, CommStats, rounds and
+// the load statistics are fingerprinted whole.
+TEST(DeterminismRegression, JonesPlassmannScenarios) {
+  const Graph g = circuit_like(2000, 4000, 6, WeightKind::kUnit, 62);
+  const Partition p =
+      multilevel_partition(g, 8, MultilevelConfig::metis_like(3));
+  const auto rc = color_jones_plassmann(DistGraph::build(g, p));
+  EXPECT_EQ(fingerprint(rc.run, rc.rounds),
+            "0x1.0978499eccb84p-12|182|8007|350|10|10|0x1.d973fa22c6546p-15|0x1.3e59012315af9p-14|0x1.0ece240fd4b4cp-14|0|0|0|0x0p+0");
+
+  const Graph grid = grid_2d(48, 48, WeightKind::kUnit, 61);
+  Rank pr = 0, pc = 0;
+  factor_processor_grid(8, pr, pc);
+  const Partition gp = grid_2d_partition(48, 48, pr, pc);
+  JonesPlassmannOptions fixed;
+  fixed.codec = WireCodec::kFixed;
+  const auto rg = color_jones_plassmann(DistGraph::build(grid, gp), fixed);
+  EXPECT_EQ(fingerprint(rg.run, rg.rounds),
+            "0x1.d36f888bf0b59p-13|105|8704|384|9|9|0x1.186e60dbb7fa7p-14|0x1.4f75deff5462bp-14|0x1.2a2191a025fe8p-14|0|0|0|0x0p+0");
+}
+
+// Pins for the service write path: a short seeded update stream on a 2x3
+// rank grid, repaired batch by batch with the incremental drivers. Each
+// batch's matching RunResult (activations as rounds) and coloring RunResult
+// are fingerprinted, clean and with faults on both drivers.
+std::vector<std::string> service_stream_fingerprints(bool faults) {
+  const Graph g0 = grid_2d(24, 24, WeightKind::kUniformRandom, 65);
+  const Partition p = grid_2d_partition(24, 24, 2, 3);
+  DistMatchingOptions mo;
+  DistColoringOptions co;
+  if (faults) {
+    mo.faults.drop_rate = 0.05;
+    mo.faults.duplicate_rate = 0.02;
+    mo.faults.seed = 16;
+    // The repairs announce few colors; a high drop rate makes sure some
+    // of them are lost and re-entered.
+    co.faults.drop_rate = 0.4;
+    co.faults.duplicate_rate = 0.1;
+    co.faults.seed = 17;
+  }
+  DynamicGraph dyn(g0);
+  const DistGraph dist0 = DistGraph::build(g0, p);
+  Matching mate = match_distributed(dist0, mo).matching;
+  Coloring color = color_canonical(dist0, co).coloring;
+  UpdateStreamConfig cfg;
+  cfg.seed = 31;
+  UpdateStreamGenerator gen(g0, cfg);
+  std::vector<std::string> out;
+  for (int batch = 0; batch < 4; ++batch) {
+    const std::vector<EdgeUpdate> updates = gen.next_batch(32);
+    for (const EdgeUpdate& u : updates) dyn.apply(u);
+    const DistGraph dist = DistGraph::build(dyn.snapshot(), p);
+    const std::vector<VertexId> touched = touched_vertices(updates);
+    IncrementalMatchResult im = match_incremental(dist, mate, touched, mo);
+    IncrementalColorResult ic = color_incremental(dist, color, touched, co);
+    out.push_back(fingerprint(im.run, im.max_activations) + " / " +
+                  fingerprint(ic.run, ic.rounds));
+    mate = std::move(im.matching);
+    color = std::move(ic.coloring);
+  }
+  return out;
+}
+
+TEST(DeterminismRegression, ServiceStreamRepairScenarios) {
+  const std::vector<std::string> clean = {
+      "0x1.3617e16a8b057p-15|56|2643|152|0|11|0x1.6d127d05394e8p-18|0x1.b6388bb7aeabp-17|0x1.38d6d2d1bb393p-17|0|0|0|0x0p+0"
+      " / 0x1.ac56616ae6ef3p-14|4|167|4|8|4|0x1.ad7f29abcaf49p-22|0x1.67b4194cad2ccp-18|0x1.37d5201f20f43p-19|0|0|0|0x0p+0",
+      "0x1.84ec6db9dd597p-15|52|2361|112|0|11|0x1.eb3ca4761685dp-19|0x1.060f63a0386d7p-16|0x1.08db379056c01p-17|0|0|0|0x0p+0"
+      " / 0x1.5e036edf00b7fp-14|4|165|4|6|3|0x1.a2c2623ab2ae7p-21|0x1.21e908ed8f65p-18|0x1.d064b1db59d85p-20|0|0|0|0x0p+0",
+      "0x1.5bfc7e60f1161p-15|66|3113|177|0|14|0x1.93fecfff314c6p-18|0x1.9b60991cf1fbep-17|0x1.31e792035b8cp-17|0|0|0|0x0p+0"
+      " / 0x1.191f54bcc2542p-13|9|378|9|10|5|0x1.376297cfbff15p-21|0x1.34b365f379dfbp-18|0x1.470b3aaa03577p-19|0|0|0|0x0p+0",
+      "0x1.4a5cd863a7f24p-15|59|2691|124|0|12|0x1.1f39d71149528p-18|0x1.7926dd64749ccp-17|0x1.04b7cab215653p-17|0|0|0|0x0p+0"
+      " / 0x1.ce976a4eda2bep-15|3|126|3|4|2|0x1.edebd6525c994p-21|0x1.d313e3b79fe9dp-19|0x1.e5de40bd8a648p-20|0|0|0|0x0p+0"};
+  EXPECT_EQ(service_stream_fingerprints(false), clean);
+  const std::vector<std::string> faulty = {
+      "0x1.8afb206634bcap-14|129|6662|176|0|12|0x1.6d127d05394e8p-18|0x1.b6388bb7aeabp-17|0x1.38f374e59379fp-17|8|4|8|0x1.1183c73091d43p-15"
+      " / 0x1.453605999eac8p-13|9|372|9|12|6|0x1.ad7f29abcaf49p-22|0x1.67b4194cad2ccp-18|0x1.690bb23ad0359p-19|5|0|0|0x0p+0",
+      "0x1.9487b6ee1346ep-14|126|6416|141|0|11|0x1.eb3ca4761685dp-19|0x1.060f63a0386d7p-16|0x1.08db379056c01p-17|8|3|12|0x1.627b8147ec91ap-16"
+      " / 0x1.a35bc489cdc3p-13|9|370|9|16|8|0x1.a2c2623ab2ae7p-21|0x1.477dc2f9645a6p-18|0x1.1de23e23264abp-19|5|0|0|0x0p+0",
+      "0x1.aaa21e86248a6p-14|155|8018|212|0|14|0x1.93fecfff314c6p-18|0x1.9b60991cf1fbep-17|0x1.31e792035b8cp-17|9|4|13|0x1.05a9993345ba4p-15"
+      " / 0x1.49734e71cc221p-13|13|550|15|12|6|0x1.376297cfbff15p-21|0x1.98059ac99a681p-18|0x1.7a7e765297a75p-19|5|0|0|0x0p+0",
+      "0x1.91b757579b436p-14|133|6784|150|0|12|0x1.1f39d71149528p-18|0x1.7926dd64749ccp-17|0x1.04b7cab215653p-17|8|4|8|0x1.4970684630272p-15"
+      " / 0x1.586d50fca1f09p-14|4|168|4|6|3|0x1.edebd6525c994p-21|0x1.d313e3b79fe9dp-19|0x1.00cda1fb848cdp-19|1|0|0|0x0p+0"};
+  EXPECT_EQ(service_stream_fingerprints(true), faulty);
+}
+
 // ---------------------------------------------------------------------------
 // Thread-count invariance: every pinned scenario above must reproduce
 // byte-identically when the rank callbacks run on the execution backend's

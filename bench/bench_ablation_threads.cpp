@@ -9,7 +9,8 @@
 //
 // Wall-clock speedup tracks the host's real core count. The summary JSON
 // records hardware_concurrency so a 1-core CI box reporting ~1x is
-// distinguishable from a backend regression.
+// distinguishable from a backend regression, and argv, the command line
+// that produced it.
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -227,6 +228,7 @@ int run(int argc, const char** argv) {
         << "\",\n  \"grid\": " << side << ",\n  \"ranks\": " << ranks
         << ",\n  \"reps\": " << reps
         << ",\n  \"hardware_concurrency\": " << hw
+        << ",\n  \"argv\": " << json_argv(argc, argv)
         << ",\n  \"rows\": [" << rows.str() << "\n  ]\n}\n";
     std::cout << "summary written to " << json_path << '\n';
   };

@@ -45,4 +45,19 @@ class CsvSink {
   std::optional<CsvWriter> writer_;
 };
 
+/// The command line as a JSON array of strings, for the "argv" field of a
+/// BENCH_*.json artifact: a re-recorded baseline says how it was made.
+inline std::string json_argv(int argc, const char** argv) {
+  std::string out = "[";
+  for (int i = 0; i < argc; ++i) {
+    out += i == 0 ? "\"" : ", \"";
+    for (const char* c = argv[i]; *c != '\0'; ++c) {
+      if (*c == '"' || *c == '\\') out += '\\';
+      out += *c;
+    }
+    out += '"';
+  }
+  return out + "]";
+}
+
 }  // namespace pmc::bench

@@ -164,6 +164,7 @@ int run(int argc, const char** argv) {
     out << "{\n  \"bench\": \"service\",\n  \"grid\": " << side
         << ",\n  \"ranks\": " << ranks << ",\n  \"updates\": " << updates
         << ",\n  \"reps\": " << reps << ",\n  \"hardware_concurrency\": " << hw
+        << ",\n  \"argv\": " << json_argv(argc, argv)
         << ",\n  \"rows\": [" << json_rows.str() << "\n  ]\n}\n";
     std::cout << "summary written to " << json_path << '\n';
   }

@@ -103,6 +103,8 @@ asan() {
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   # The fabric/engine layer and every simulated distributed algorithm —
   # the code that moves raw bytes around and is worth sanitizing hardest.
+  # The verifiers and Jones–Plassmann stage by neighbour slot; a wrong slot
+  # index is an out-of-size vector access the assertions abort on.
   # test_wire_codec exercises the codec round-trip plus the corruption and
   # truncation detection sweeps; test_chaos drives the fault-injection +
   # ack/retry paths, which touch serialized payloads the most aggressively.
@@ -114,8 +116,10 @@ asan() {
     test_determinism_regression
     test_runtime_engines
     test_dist_graph
+    test_dist_verify
     test_matching_dist
     test_coloring_dist
+    test_jones_plassmann
     test_distance2
     test_service
   )
@@ -135,7 +139,8 @@ tsan() {
   # at explicit thread counts; test_chaos picks up PMC_THREADS=4 through
   # exec_config_from_env(), so every fault-injection scenario also runs its
   # rank callbacks concurrently under the race detector. The engine suite
-  # rides along as the sequential-semantics baseline.
+  # rides along as the sequential-semantics baseline; test_dist_verify runs
+  # the verifiers' per-rank staging on the pool.
   local tests=(
     test_exec
     test_determinism_regression
@@ -143,6 +148,7 @@ tsan() {
     test_wire_codec
     test_runtime_engines
     test_service
+    test_dist_verify
   )
   cmake --build build-tsan -j "$JOBS" --target "${tests[@]}"
   local regex

@@ -77,10 +77,14 @@ std::vector<Dist2RankView> build_dist2_views(const Graph& g,
   }
 
   // Recipients: ranks owning any vertex within distance <= 2 of each owned
-  // vertex; d2-boundary classification.
+  // vertex; d2-boundary classification. The union of the recipients numbers
+  // the staging slots; each vertex's list holds ranks until it is renumbered
+  // into slots.
+  std::vector<Rank> scratch;
+  std::vector<Slot> slot_of_rank(static_cast<std::size_t>(parts));
   for (auto& view : views) {
     view.recipients.assign(static_cast<std::size_t>(view.num_owned), {});
-    std::vector<Rank> scratch;
+    auto& dests = view.recipient_ranks;
     for (VertexId v = 0; v < view.num_owned; ++v) {
       scratch.clear();
       const VertexId gv = view.global_ids[static_cast<std::size_t>(v)];
@@ -93,10 +97,19 @@ std::vector<Dist2RankView> build_dist2_views(const Graph& g,
       std::sort(scratch.begin(), scratch.end());
       scratch.erase(std::unique(scratch.begin(), scratch.end()),
                     scratch.end());
-      if (!scratch.empty()) {
-        view.d2_boundary.push_back(v);
-        view.recipients[static_cast<std::size_t>(v)] = scratch;
-      }
+      if (scratch.empty()) continue;
+      view.d2_boundary.push_back(v);
+      view.recipients[static_cast<std::size_t>(v)].assign(scratch.begin(),
+                                                          scratch.end());
+      dests.insert(dests.end(), scratch.begin(), scratch.end());
+    }
+    std::sort(dests.begin(), dests.end());
+    dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
+    for (std::size_t i = 0; i < dests.size(); ++i) {
+      slot_of_rank[static_cast<std::size_t>(dests[i])] = static_cast<Slot>(i);
+    }
+    for (auto& slots : view.recipients) {
+      for (Slot& s : slots) s = slot_of_rank[s];
     }
   }
   return views;
@@ -167,13 +180,7 @@ DistColoringResult color_distance2_distributed_native(
     // Two-hop recipients are precomputed per vertex, so the distance-2
     // flush always uses the neighbor-customized policy (the paper's NEW
     // mode) and stages only for the union of those recipients.
-    std::vector<Rank> dests;
-    for (const auto& recipients : st.view->recipients) {
-      dests.insert(dests.end(), recipients.begin(), recipients.end());
-    }
-    std::sort(dests.begin(), dests.end());
-    dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
-    st.stage = FanoutStage(P, std::move(dests), options.codec);
+    st.stage = FanoutStage(P, st.view->recipient_ranks, options.codec);
   }
 
   DistColoringResult result;
@@ -228,8 +235,8 @@ DistColoringResult color_distance2_distributed_native(
           st.colored_d2_boundary.push_back(v);
           const VertexId global =
               st.view->global_ids[static_cast<std::size_t>(v)];
-          for (Rank dst : recipients) {
-            st.stage.stage(dst, global, chosen);
+          for (const Slot slot : recipients) {
+            st.stage.stage(slot, global, chosen);
           }
         }
         st.stage.flush(SendPolicy::kCustomizedNeighbors, r,

@@ -20,6 +20,7 @@
 #include "coloring/parallel.hpp"
 #include "graph/csr_graph.hpp"
 #include "partition/partition.hpp"
+#include "runtime/dist_graph.hpp"
 #include "runtime/local_index.hpp"
 
 namespace pmc {
@@ -38,9 +39,13 @@ struct Dist2RankView {
   std::vector<VertexId> adj;    ///< local ids (all within the view)
   /// Owned vertices with any non-owned vertex within distance <= 2.
   std::vector<VertexId> d2_boundary;
-  /// For each owned vertex (indexed by local id), the sorted ranks owning a
-  /// vertex within distance <= 2 (empty for distance-2-interior vertices).
-  std::vector<std::vector<Rank>> recipients;
+  /// Every rank owning a vertex within distance <= 2 of an owned vertex
+  /// (sorted, unique): the view's staging slots.
+  std::vector<Rank> recipient_ranks;
+  /// For each owned vertex (indexed by local id), the sorted slots in
+  /// recipient_ranks of the ranks owning a vertex within distance <= 2
+  /// (empty for distance-2-interior vertices).
+  std::vector<std::vector<Slot>> recipients;
 
   [[nodiscard]] VertexId num_local() const noexcept {
     return static_cast<VertexId>(global_ids.size());

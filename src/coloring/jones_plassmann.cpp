@@ -1,10 +1,12 @@
 #include "coloring/jones_plassmann.hpp"
 
-#include <algorithm>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "coloring/sequential.hpp"
 #include "runtime/bsp_engine.hpp"
+#include "runtime/fabric.hpp"
 #include "runtime/serialize.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
@@ -17,13 +19,10 @@ struct JpRankState {
   const LocalGraph* lg = nullptr;
   std::vector<Color> color;          // owned + ghost, local ids
   std::vector<VertexId> uncolored;   // owned, shrinking frontier
-  // Per boundary vertex, the positions in lg->neighbor_ranks() of the ranks
-  // owning its neighbors (sorted, unique).
-  std::vector<std::vector<std::size_t>> adj_slots;
   ColorChooser chooser{ColorStrategy::kFirstFit};
-  // Per-rank send scratch, parallel to lg->neighbor_ranks() (isolated so
-  // rank callbacks can run concurrently).
-  std::vector<FrameWriter> dest_payload;
+  // Per-rank send staging over lg->neighbor_ranks() (isolated so rank
+  // callbacks can run concurrently).
+  SlotWriters out;
 };
 
 }  // namespace
@@ -39,25 +38,10 @@ JonesPlassmannResult color_jones_plassmann(
     JpRankState& st = states[static_cast<std::size_t>(r)];
     const LocalGraph& lg = dist.local(r);
     st.lg = &lg;
-    const std::vector<Rank>& nbrs = lg.neighbor_ranks();
-    st.dest_payload.assign(nbrs.size(), FrameWriter(options.codec));
+    st.out = SlotWriters(lg.neighbor_ranks(), options.codec);
     st.color.assign(static_cast<std::size_t>(lg.num_local()), kNoColor);
     st.uncolored.resize(static_cast<std::size_t>(lg.num_owned()));
-    for (VertexId v = 0; v < lg.num_owned(); ++v) {
-      st.uncolored[static_cast<std::size_t>(v)] = v;
-    }
-    st.adj_slots.assign(static_cast<std::size_t>(lg.num_owned()), {});
-    for (VertexId v : lg.boundary_vertices()) {
-      auto& slots = st.adj_slots[static_cast<std::size_t>(v)];
-      for (VertexId u : lg.neighbors(v)) {
-        if (!lg.is_ghost(u)) continue;
-        const auto it =
-            std::lower_bound(nbrs.begin(), nbrs.end(), lg.ghost_owner(u));
-        slots.push_back(static_cast<std::size_t>(it - nbrs.begin()));
-      }
-      std::sort(slots.begin(), slots.end());
-      slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-    }
+    std::iota(st.uncolored.begin(), st.uncolored.end(), VertexId{0});
   }
 
   JonesPlassmannResult result;
@@ -77,7 +61,6 @@ JonesPlassmannResult color_jones_plassmann(
       const Rank r = ctx.rank();
       JpRankState& st = states[static_cast<std::size_t>(r)];
       const LocalGraph& lg = *st.lg;
-      auto& dest_payload = st.dest_payload;
       std::vector<VertexId> still_uncolored;
       still_uncolored.reserve(st.uncolored.size());
       for (const VertexId v : st.uncolored) {
@@ -104,21 +87,12 @@ JonesPlassmannResult color_jones_plassmann(
         }
         const Color c = st.chooser.choose(nullptr);
         st.color[static_cast<std::size_t>(v)] = c;
-        if (lg.is_boundary(v)) {
-          for (const std::size_t slot :
-               st.adj_slots[static_cast<std::size_t>(v)]) {
-            dest_payload[slot].append(ColorRecord{gv, c});
-          }
+        for (const Slot slot : lg.boundary_slots(v)) {
+          st.out.append(slot, ColorRecord{gv, c});
         }
       }
       st.uncolored = std::move(still_uncolored);
-      // Slots follow the sorted neighbor ranks: flush in ascending rank.
-      for (std::size_t slot = 0; slot < dest_payload.size(); ++slot) {
-        auto& w = dest_payload[slot];
-        if (w.empty()) continue;
-        const std::int64_t records = w.records();
-        ctx.send(lg.neighbor_ranks()[slot], w.take(), records);
-      }
+      st.out.flush_ascending(sender(ctx));
     });
     // Round barrier + ghost color application.
     engine.barrier();

@@ -44,8 +44,6 @@ struct RankState {
   std::vector<VertexId> to_color;
   /// Boundary vertices colored in the current round (for conflict detection).
   std::vector<VertexId> colored_boundary;
-  /// For each owned boundary vertex, the sorted ranks owning its neighbors.
-  std::vector<std::vector<Rank>> adj_ranks;
   ColorChooser chooser{ColorStrategy::kFirstFit};
   std::vector<std::int64_t> usage;  // for kLeastUsed
   /// Per-destination staging for this rank's current superstep, flushed
@@ -96,32 +94,16 @@ DistColoringResult color_distributed(const DistGraph& dist,
     if (options.strategy == ColorStrategy::kLeastUsed) {
       st.usage.assign(1, 0);
     }
-    // Initial coloring order within the rank.
-    switch (options.local_order) {
-      case LocalOrder::kInteriorFirst:
-        st.to_color = lg.interior_vertices();
-        st.to_color.insert(st.to_color.end(), lg.boundary_vertices().begin(),
-                           lg.boundary_vertices().end());
-        break;
-      case LocalOrder::kBoundaryFirst:
-        st.to_color = lg.boundary_vertices();
-        st.to_color.insert(st.to_color.end(), lg.interior_vertices().begin(),
-                           lg.interior_vertices().end());
-        break;
-      case LocalOrder::kNatural:
-        st.to_color.resize(static_cast<std::size_t>(lg.num_owned()));
-        std::iota(st.to_color.begin(), st.to_color.end(), VertexId{0});
-        break;
-    }
-    // Ranks adjacent to each boundary vertex (for customized messages).
-    st.adj_ranks.assign(static_cast<std::size_t>(lg.num_owned()), {});
-    for (VertexId v : lg.boundary_vertices()) {
-      std::vector<Rank>& ranks = st.adj_ranks[static_cast<std::size_t>(v)];
-      for (VertexId u : lg.neighbors(v)) {
-        if (lg.is_ghost(u)) ranks.push_back(lg.ghost_owner(u));
-      }
-      std::sort(ranks.begin(), ranks.end());
-      ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+    // Initial coloring order within the rank: local-id order, or interior
+    // (boundary) vertices first, each class in local-id order.
+    st.to_color.resize(static_cast<std::size_t>(lg.num_owned()));
+    std::iota(st.to_color.begin(), st.to_color.end(), VertexId{0});
+    if (options.local_order != LocalOrder::kNatural) {
+      const bool boundary_first =
+          options.local_order == LocalOrder::kBoundaryFirst;
+      std::stable_partition(
+          st.to_color.begin(), st.to_color.end(),
+          [&](VertexId v) { return lg.is_boundary(v) == boundary_first; });
     }
   }
 
@@ -179,8 +161,8 @@ DistColoringResult color_distributed(const DistGraph& dist,
           if (options.comm_mode == CommMode::kBroadcastUnion) {
             st.stage.stage_union(global, chosen);
           } else {
-            for (Rank dst : st.adj_ranks[static_cast<std::size_t>(v)]) {
-              st.stage.stage(dst, global, chosen);
+            for (const Slot slot : lg.boundary_slots(v)) {
+              st.stage.stage(slot, global, chosen);
             }
           }
         }

@@ -1,9 +1,9 @@
 #include "coloring/parallel_verify.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "runtime/bsp_engine.hpp"
+#include "runtime/fabric.hpp"
 #include "runtime/serialize.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
@@ -24,32 +24,17 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
   // Boundary color exchange.
   engine.run_ranks([&](BspEngine::RankCtx& ctx) {
     const LocalGraph& lg = dist.local(ctx.rank());
-    const std::vector<Rank>& dests = lg.neighbor_ranks();
-    std::vector<FrameWriter> out(dests.size(), FrameWriter(codec));
-    std::vector<Rank> scratch;
-    for (const VertexId v : lg.boundary_vertices()) {
+    SlotWriters out(lg.neighbor_ranks(), codec);
+    for (VertexId v = 0; v < lg.num_owned(); ++v) {
+      if (!lg.is_boundary(v)) continue;
       const VertexId gv = lg.global_id(v);
       ctx.charge(static_cast<double>(lg.degree(v)));
-      scratch.clear();
-      for (VertexId u : lg.neighbors(v)) {
-        if (lg.is_ghost(u)) scratch.push_back(lg.ghost_owner(u));
-      }
-      std::sort(scratch.begin(), scratch.end());
-      scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                    scratch.end());
-      for (Rank dst : scratch) {
-        const auto i = std::lower_bound(dests.begin(), dests.end(), dst) -
-                       dests.begin();
-        out[static_cast<std::size_t>(i)].append(
-            ColorRecord{gv, c.color[static_cast<std::size_t>(gv)]});
+      for (const Slot slot : lg.boundary_slots(v)) {
+        out.append(slot,
+                   ColorRecord{gv, c.color[static_cast<std::size_t>(gv)]});
       }
     }
-    // Ship in ascending destination order (neighbor_ranks() is sorted).
-    for (std::size_t i = 0; i < dests.size(); ++i) {
-      if (out[i].empty()) continue;
-      const std::int64_t records = out[i].records();
-      ctx.send(dests[i], out[i].take(), records);
-    }
+    out.flush_ascending(sender(ctx));
   });
   engine.barrier();
 

@@ -33,19 +33,6 @@ void MatchProcess::sort_arcs(EventContext& ctx, VertexId v) {
   ctx.charge(static_cast<double>(e - b));
 }
 
-void MatchProcess::build_ghost_incidence() {
-  ghost_incidence_.resize(static_cast<std::size_t>(lg_.num_ghosts()));
-  for (VertexId v = 0; v < lg_.num_owned(); ++v) {
-    for (EdgeId a = lg_.offset_begin(v); a < lg_.offset_end(v); ++a) {
-      const VertexId t = lg_.arc_target(a);
-      if (lg_.is_ghost(t)) {
-        ghost_incidence_[static_cast<std::size_t>(t - lg_.num_owned())]
-            .emplace_back(v, a);
-      }
-    }
-  }
-}
-
 void MatchProcess::start(EventContext& ctx) {
   ctx.set_phase(WorkPhase::kInterior);
   const VertexId n = lg_.num_owned();
@@ -67,10 +54,6 @@ void MatchProcess::start(EventContext& ctx) {
   for (VertexId v = 0; v < n; ++v) {
     sort_arcs(ctx, v);
   }
-
-  // Ghost incidence: for each ghost, the (owned vertex, arc) pairs that
-  // reference it — lets a ghost's death cascade without scanning.
-  build_ghost_incidence();
 
   // Initial candidates; reciprocal local pairs match as soon as the second
   // endpoint initializes, and cascades run through the pending queue
@@ -175,7 +158,7 @@ void MatchProcess::recompute_candidate(EventContext& ctx, VertexId v) {
   }
   // Cross candidate: signal the matching preference (paper §3.2), then
   // complete immediately if the other side already requested us (R-set).
-  enqueue_record(ctx, lg_.ghost_owner(c),
+  enqueue_record(ctx, lg_.ghost_slot(c),
                  {RecordType::kRequest, lg_.global_id(v), lg_.global_id(c)});
   if (arc_requested_[static_cast<std::size_t>(arc)]) {
     match_cross(ctx, v, c);
@@ -188,7 +171,7 @@ void MatchProcess::fail_vertex(EventContext& ctx, VertexId v) {
   state_[static_cast<std::size_t>(v)] = VState::kFailed;
   cand_[static_cast<std::size_t>(v)] = kNoVertex;
   --undecided_;
-  notify_decided(ctx, v, RecordType::kFailed, kNoVertex, kNoRank);
+  notify_decided(ctx, v, RecordType::kFailed, kNoVertex, kNoSlot);
 }
 
 void MatchProcess::match_local(EventContext& ctx, VertexId a, VertexId b) {
@@ -197,8 +180,8 @@ void MatchProcess::match_local(EventContext& ctx, VertexId a, VertexId b) {
   mate_[static_cast<std::size_t>(a)] = b;
   mate_[static_cast<std::size_t>(b)] = a;
   undecided_ -= 2;
-  notify_decided(ctx, a, RecordType::kSucceeded, lg_.global_id(b), kNoRank);
-  notify_decided(ctx, b, RecordType::kSucceeded, lg_.global_id(a), kNoRank);
+  notify_decided(ctx, a, RecordType::kSucceeded, lg_.global_id(b), kNoSlot);
+  notify_decided(ctx, b, RecordType::kSucceeded, lg_.global_id(a), kNoSlot);
 }
 
 void MatchProcess::match_cross(EventContext& ctx, VertexId v, VertexId ghost) {
@@ -210,13 +193,15 @@ void MatchProcess::match_cross(EventContext& ctx, VertexId v, VertexId ghost) {
   // SUCCEEDED needs to travel to the mate's rank.
   ghost_died(ghost, /*skip=*/v);
   notify_decided(ctx, v, RecordType::kSucceeded, lg_.global_id(ghost),
-                 lg_.ghost_owner(ghost));
+                 lg_.ghost_slot(ghost));
 }
 
 void MatchProcess::notify_decided(EventContext& ctx, VertexId x,
                                   RecordType type, VertexId mate_global,
-                                  Rank exclude_rank) {
-  scratch_ranks_.clear();
+                                  Slot exclude_slot) {
+  // The live ghosts' owners change as ghosts die, so unlike
+  // boundary_slots(x) this set is collected per notification.
+  scratch_slots_.clear();
   for (EdgeId a = lg_.offset_begin(x); a < lg_.offset_end(x); ++a) {
     ctx.charge(1.0);
     const VertexId t = lg_.arc_target(a);
@@ -224,20 +209,20 @@ void MatchProcess::notify_decided(EventContext& ctx, VertexId x,
       if (ghost_dead_[static_cast<std::size_t>(t - lg_.num_owned())]) {
         continue;
       }
-      const Rank r = lg_.ghost_owner(t);
-      if (r != exclude_rank) scratch_ranks_.push_back(r);
+      const Slot slot = lg_.ghost_slot(t);
+      if (slot != exclude_slot) scratch_slots_.push_back(slot);
     } else if (state_[static_cast<std::size_t>(t)] == VState::kUndecided &&
                initialized_[static_cast<std::size_t>(t)] &&
                cand_[static_cast<std::size_t>(t)] == x) {
       pending_.push_back(t);
     }
   }
-  std::sort(scratch_ranks_.begin(), scratch_ranks_.end());
-  scratch_ranks_.erase(
-      std::unique(scratch_ranks_.begin(), scratch_ranks_.end()),
-      scratch_ranks_.end());
-  for (Rank r : scratch_ranks_) {
-    enqueue_record(ctx, r, {type, lg_.global_id(x), mate_global});
+  std::sort(scratch_slots_.begin(), scratch_slots_.end());
+  scratch_slots_.erase(
+      std::unique(scratch_slots_.begin(), scratch_slots_.end()),
+      scratch_slots_.end());
+  for (const Slot slot : scratch_slots_) {
+    enqueue_record(ctx, slot, {type, lg_.global_id(x), mate_global});
   }
 }
 
@@ -245,9 +230,8 @@ void MatchProcess::ghost_died(VertexId ghost, VertexId skip) {
   const auto gidx = static_cast<std::size_t>(ghost - lg_.num_owned());
   if (ghost_dead_[gidx]) return;
   ghost_dead_[gidx] = true;
-  for (const auto& [w, arc] :
-       ghost_incidence_[static_cast<std::size_t>(ghost - lg_.num_owned())]) {
-    (void)arc;
+  for (const LocalGraph::GhostArc ga : lg_.ghost_arcs(ghost)) {
+    const VertexId w = ga.vertex;
     if (w == skip) continue;
     if (state_[static_cast<std::size_t>(w)] == VState::kUndecided &&
         initialized_[static_cast<std::size_t>(w)] &&
@@ -329,20 +313,11 @@ EdgeId MatchProcess::find_arc(VertexId v, VertexId t) const {
 // activation, the paper's §3.3 bundling); eager mode sends each record on
 // its own (the unbundled ablation).
 
-void MatchProcess::enqueue_record(EventContext& ctx, Rank dst,
+void MatchProcess::enqueue_record(EventContext& ctx, Slot slot,
                                   const Record& rec) {
-  bundler_.add(
-      dst, rec,
-      [&](Rank d, std::vector<std::byte> payload, std::int64_t records) {
-        ctx.send(d, std::move(payload), records);
-      });
+  bundler_.add(slot, rec, sender(ctx));
 }
 
-void MatchProcess::flush(EventContext& ctx) {
-  bundler_.flush(
-      [&](Rank d, std::vector<std::byte> payload, std::int64_t records) {
-        ctx.send(d, std::move(payload), records);
-      });
-}
+void MatchProcess::flush(EventContext& ctx) { bundler_.flush(sender(ctx)); }
 
 }  // namespace pmc

@@ -16,7 +16,6 @@
 #include <deque>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "matching/parallel.hpp"
@@ -102,7 +101,7 @@ class MatchProcess : public Process {
   void match_local(EventContext& ctx, VertexId a, VertexId b);
   void match_cross(EventContext& ctx, VertexId v, VertexId ghost);
   void notify_decided(EventContext& ctx, VertexId x, RecordType type,
-                      VertexId mate_global, Rank exclude_rank);
+                      VertexId mate_global, Slot exclude_slot);
   void ghost_died(VertexId ghost, VertexId skip);
   void process_pending(EventContext& ctx);
 
@@ -116,15 +115,13 @@ class MatchProcess : public Process {
 
   // ---- outgoing records ---------------------------------------------------
 
-  void enqueue_record(EventContext& ctx, Rank dst, const Record& rec);
+  /// Stages `rec` for the neighbour rank in `slot` (see LocalGraph).
+  void enqueue_record(EventContext& ctx, Slot slot, const Record& rec);
   void flush(EventContext& ctx);
 
   /// Sorts vertex v's arcs by (weight desc, neighbor global id asc) — the
   /// paper's tie-breaking rule — into arc_order_ and charges deg(v).
   void sort_arcs(EventContext& ctx, VertexId v);
-  /// Builds the ghost -> (owned vertex, arc) incidence lists (uncharged
-  /// setup, like the CSR itself).
-  void build_ghost_incidence();
 
   const LocalGraph& lg_;
   Bundler bundler_;
@@ -136,9 +133,8 @@ class MatchProcess : public Process {
   std::vector<bool> ghost_dead_;
   std::vector<bool> arc_requested_;
   std::vector<std::uint32_t> arc_order_;  // per-vertex-relative positions
-  std::vector<std::vector<std::pair<VertexId, EdgeId>>> ghost_incidence_;
   std::deque<VertexId> pending_;
-  std::vector<Rank> scratch_ranks_;
+  std::vector<Slot> scratch_slots_;
   VertexId undecided_ = 0;
   int activations_ = 0;
 };

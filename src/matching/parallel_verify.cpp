@@ -1,9 +1,9 @@
 #include "matching/parallel_verify.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "runtime/bsp_engine.hpp"
+#include "runtime/fabric.hpp"
 #include "runtime/serialize.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
@@ -25,33 +25,17 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
   // each neighboring rank — the information receivers need about ghosts.
   engine.run_ranks([&](BspEngine::RankCtx& ctx) {
     const LocalGraph& lg = dist.local(ctx.rank());
-    const std::vector<Rank>& dests = lg.neighbor_ranks();
-    std::vector<FrameWriter> out(dests.size(), FrameWriter(codec));
-    std::vector<Rank> scratch_ranks;
-    for (const VertexId v : lg.boundary_vertices()) {
+    SlotWriters out(lg.neighbor_ranks(), codec);
+    for (VertexId v = 0; v < lg.num_owned(); ++v) {
+      if (!lg.is_boundary(v)) continue;
       const VertexId gv = lg.global_id(v);
       const VertexId mate = m.mate[static_cast<std::size_t>(gv)];
       ctx.charge(static_cast<double>(lg.degree(v)));
-      scratch_ranks.clear();
-      for (VertexId u : lg.neighbors(v)) {
-        if (lg.is_ghost(u)) scratch_ranks.push_back(lg.ghost_owner(u));
-      }
-      std::sort(scratch_ranks.begin(), scratch_ranks.end());
-      scratch_ranks.erase(
-          std::unique(scratch_ranks.begin(), scratch_ranks.end()),
-          scratch_ranks.end());
-      for (Rank dst : scratch_ranks) {
-        const auto i = std::lower_bound(dests.begin(), dests.end(), dst) -
-                       dests.begin();
-        out[static_cast<std::size_t>(i)].append(MateRecord{gv, mate});
+      for (const Slot slot : lg.boundary_slots(v)) {
+        out.append(slot, MateRecord{gv, mate});
       }
     }
-    // Ship in ascending destination order (neighbor_ranks() is sorted).
-    for (std::size_t i = 0; i < dests.size(); ++i) {
-      if (out[i].empty()) continue;
-      const std::int64_t records = out[i].records();
-      ctx.send(dests[i], out[i].take(), records);
-    }
+    out.flush_ascending(sender(ctx));
   });
   engine.barrier();
 

@@ -10,13 +10,18 @@
 //     CSR form referring to local ids;
 //   * ghost vertices (local ids [num_owned, num_local)) with their global id
 //     and owning rank but no adjacency;
-//   * the interior/boundary classification of owned vertices and the sorted
-//     list of neighboring ranks;
+//   * the sorted list of neighboring ranks, and the boundary topology every
+//     distributed algorithm sends by: each ghost's neighbour slot (its
+//     owner's index in that list), each owned vertex's sorted neighbour
+//     slots (empty iff the vertex is interior), and each ghost's incident
+//     (owned vertex, arc) pairs — flat, 32-bit, derived once here;
 //   * the global -> local index (runtime/local_index.hpp), sized once, at
 //     build time, to the rank's local vertex count plus a third.
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -27,9 +32,20 @@
 
 namespace pmc {
 
+/// A neighbour slot: an index into LocalGraph::neighbor_ranks(), and so into
+/// any per-neighbour staging built over it. kNoSlot names none.
+using Slot = std::uint32_t;
+inline constexpr Slot kNoSlot = std::numeric_limits<Slot>::max();
+
 /// One rank's share of a distributed graph.
 class LocalGraph {
  public:
+  /// One arc from an owned vertex to a ghost.
+  struct GhostArc {
+    std::uint32_t vertex;  ///< The owned vertex (local id).
+    std::uint32_t arc;     ///< The arc's index (see arc_target()).
+  };
+
   [[nodiscard]] Rank rank() const noexcept { return rank_; }
   [[nodiscard]] VertexId num_owned() const noexcept { return num_owned_; }
   [[nodiscard]] VertexId num_ghosts() const noexcept {
@@ -52,14 +68,36 @@ class LocalGraph {
     return index_.find(global_ids_, global);
   }
 
+  /// Slot of a local ghost vertex's owner in neighbor_ranks().
+  [[nodiscard]] Slot ghost_slot(VertexId local) const {
+    return ghost_slot_[static_cast<std::size_t>(local - num_owned_)];
+  }
+
   /// Owning rank of a local ghost vertex.
   [[nodiscard]] Rank ghost_owner(VertexId local) const {
-    return ghost_owner_[static_cast<std::size_t>(local - num_owned_)];
+    return neighbor_ranks_[ghost_slot(local)];
+  }
+
+  /// The sorted, unique slots of the ranks owning owned vertex `local`'s
+  /// ghost neighbors: where its boundary announcements go. Empty for an
+  /// interior vertex.
+  [[nodiscard]] std::span<const Slot> boundary_slots(VertexId local) const {
+    const auto b = boundary_slot_offsets_[static_cast<std::size_t>(local)];
+    const auto e = boundary_slot_offsets_[static_cast<std::size_t>(local) + 1];
+    return {boundary_slots_.data() + b, e - b};
   }
 
   /// True iff owned vertex `local` has a neighbor on another rank.
   [[nodiscard]] bool is_boundary(VertexId local) const {
-    return is_boundary_[static_cast<std::size_t>(local)];
+    return !boundary_slots(local).empty();
+  }
+
+  /// The (owned vertex, arc) pairs reaching ghost `local`, ordered by owned
+  /// vertex, then arc.
+  [[nodiscard]] std::span<const GhostArc> ghost_arcs(VertexId local) const {
+    const auto g = static_cast<std::size_t>(local - num_owned_);
+    const auto b = ghost_arc_offsets_[g];
+    return {ghost_arcs_.data() + b, ghost_arc_offsets_[g + 1] - b};
   }
 
   [[nodiscard]] EdgeId degree(VertexId local) const {
@@ -100,17 +138,10 @@ class LocalGraph {
     return neighbor_ranks_;
   }
 
-  /// Owned interior vertices (no cross edges), in local-id order.
-  [[nodiscard]] const std::vector<VertexId>& interior_vertices() const noexcept {
-    return interior_;
-  }
-  /// Owned boundary vertices, in local-id order.
-  [[nodiscard]] const std::vector<VertexId>& boundary_vertices() const noexcept {
-    return boundary_;
-  }
-
   /// Number of cross edges incident to this rank's owned vertices.
-  [[nodiscard]] EdgeId num_cross_edges() const noexcept { return cross_edges_; }
+  [[nodiscard]] EdgeId num_cross_edges() const noexcept {
+    return static_cast<EdgeId>(ghost_arcs_.size());
+  }
 
  private:
   friend class DistGraph;
@@ -122,12 +153,12 @@ class LocalGraph {
   std::vector<EdgeId> offsets_;   // over owned vertices only
   std::vector<VertexId> adj_;     // local ids (owned or ghost)
   std::vector<Weight> weights_;
-  std::vector<Rank> ghost_owner_;
-  std::vector<bool> is_boundary_;
   std::vector<Rank> neighbor_ranks_;
-  std::vector<VertexId> interior_;
-  std::vector<VertexId> boundary_;
-  EdgeId cross_edges_ = 0;
+  std::vector<Slot> ghost_slot_;  // by ghost index (local id - num_owned)
+  std::vector<std::uint32_t> boundary_slot_offsets_;  // over owned vertices
+  std::vector<Slot> boundary_slots_;
+  std::vector<std::uint32_t> ghost_arc_offsets_;  // over ghosts
+  std::vector<GhostArc> ghost_arcs_;
 };
 
 /// Values a rank received about its ghosts from their owners (the
@@ -193,8 +224,9 @@ class DistGraph {
   }
 
   /// Re-checks the distribution invariants (ghost symmetry, edge
-  /// conservation, ownership consistency, the global -> local index) against
-  /// the original inputs.
+  /// conservation, ownership consistency, the global -> local index, the
+  /// ghost slots, boundary slots and ghost arcs) against the original
+  /// inputs.
   void validate(const Graph& g, const Partition& p) const;
 
  private:

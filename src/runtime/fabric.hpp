@@ -7,17 +7,18 @@
 // the engines keep only their scheduling discipline (a global event queue
 // vs per-rank inboxes) and compose the fabric.
 //
-// The fabric also owns the two record-aggregation helpers the paper's
-// algorithms share:
+// The fabric also owns the per-neighbour staging the paper's algorithms
+// share. Its core, SlotWriters, keeps one writer per neighbour slot (an
+// index into a LocalGraph's neighbor_ranks()) and flushes the touched ones
+// in ascending or first-touch order; two helpers build on it:
 //
 //   * Bundler — per-destination record aggregation (the matching paper's
 //     §3.3 "aggressive message bundling") with eager, bundled, and
 //     flush-on-threshold modes. Eager mode is the unbundled ablation
 //     baseline: every record travels as its own message.
-//   * FanoutStage — per-source staging of boundary records, one writer per
-//     rank in the source's destination set, flushed under one of the
-//     coloring paper's §4.2 send policies: kBroadcastUnion (FIAB),
-//     kCustomizedAll (FIAC), or kCustomizedNeighbors (NEW).
+//   * FanoutStage — per-source staging of boundary records, flushed under
+//     one of the coloring paper's §4.2 send policies: kBroadcastUnion
+//     (FIAB), kCustomizedAll (FIAC), or kCustomizedNeighbors (NEW).
 //
 // All modelled-time semantics (send overhead, latency + inverse-bandwidth
 // cost, FIFO channels, deterministic jitter) are bit-identical to the
@@ -322,6 +323,86 @@ class CommFabric {
   CommTrace trace_;
 };
 
+/// `ctx.send` of either engine's rank context as the send callable the
+/// staging types below flush to.
+template <typename Ctx>
+[[nodiscard]] auto sender(Ctx& ctx) {
+  return [&ctx](Rank dst, std::vector<std::byte> payload,
+                std::int64_t records) {
+    ctx.send(dst, std::move(payload), records);
+  };
+}
+
+/// One FrameWriter per destination slot: the per-neighbour staging core of
+/// Bundler and FanoutStage, which the verifiers and Jones–Plassmann also
+/// use directly. A slot indexes a sorted, unique rank list — in practice a
+/// LocalGraph's neighbor_ranks() — so callers stage by the slots LocalGraph
+/// holds (ghost_slot(), boundary_slots()), and ascending slots are
+/// ascending ranks. A flush sends the writers touched since the last one,
+/// in ascending or first-touch order, as (dst rank, frame, record count).
+class SlotWriters {
+ public:
+  SlotWriters() = default;
+  /// `dests` — the rank of every slot — must be sorted and unique.
+  SlotWriters(std::vector<Rank> dests, WireCodec codec)
+      : dests_(std::move(dests)), out_(dests_.size(), FrameWriter(codec)) {
+    PMC_CHECK(std::adjacent_find(dests_.begin(), dests_.end(),
+                                 std::greater_equal<>()) == dests_.end(),
+              "destination set must be sorted and unique");
+  }
+
+  /// Appends one record to `slot`'s writer; the slot must be in range.
+  template <typename R>
+  const FrameWriter& append(std::size_t slot, const R& record) {
+    PMC_CHECK(slot < out_.size(), "slot " << slot
+                                          << " is outside a destination set of "
+                                          << out_.size() << " ranks");
+    FrameWriter& w = out_[slot];
+    // send_now() empties a writer without untouching it, so a slot may
+    // repeat here; the flushes send each writer once, while non-empty.
+    if (w.empty()) touched_.push_back(slot);
+    w.append(record);
+    return w;
+  }
+
+  /// Sends `slot`'s staged records now.
+  template <typename SendFn>
+  void send_now(std::size_t slot, SendFn& send) {
+    FrameWriter& w = out_[slot];
+    const std::int64_t records = w.records();
+    send(dests_[slot], w.take(), records);
+  }
+
+  /// Sends every non-empty touched writer in ascending slot (= rank) order.
+  template <typename SendFn>
+  void flush_ascending(SendFn&& send) {
+    std::sort(touched_.begin(), touched_.end());
+    flush_first_touch(send);
+  }
+
+  /// Sends every non-empty touched writer in the order slots were first
+  /// touched since the last flush.
+  template <typename SendFn>
+  void flush_first_touch(SendFn&& send) {
+    for (const std::size_t slot : touched_) {
+      if (!out_[slot].empty()) send_now(slot, send);
+    }
+    touched_.clear();
+  }
+
+  /// Records currently staged across all slots.
+  [[nodiscard]] std::int64_t staged_records() const noexcept {
+    std::int64_t total = 0;
+    for (const FrameWriter& w : out_) total += w.records();
+    return total;
+  }
+
+ private:
+  std::vector<Rank> dests_;
+  std::vector<FrameWriter> out_;      // parallel to dests_
+  std::vector<std::size_t> touched_;  // slots, since the last flush
+};
+
 /// How a Bundler treats appended records.
 enum class BundleMode {
   kEager,    ///< Each record is sent immediately as its own message.
@@ -333,88 +414,52 @@ enum class BundleMode {
 /// (and the unbundled ablation) shares one implementation.
 ///
 /// Records (any type with a fields() list, see serialize.hpp) are appended
-/// to their destination's FrameWriter, one per rank of the destination set
-/// (the rank's neighbour ranks), and a flush visits only the writers touched
-/// since the last one. The send callback receives (dst, framed payload,
-/// record_count) and forwards to the engine. With a non-zero flush
-/// threshold, a destination's bundle is sent as soon as its staged
-/// *payload* (pre-frame encoded bytes) reaches the threshold (bounding
-/// message size without changing record order).
+/// to their destination slot's writer (SlotWriters over the rank's
+/// neighbour ranks). With a non-zero flush threshold, a destination's bundle
+/// is sent as soon as its staged *payload* (pre-frame encoded bytes)
+/// reaches the threshold (bounding message size without changing record
+/// order).
 class Bundler {
  public:
-  /// `dests` — every rank add() may address — must be sorted and unique.
+  /// `dests` — the rank of every slot add() may address — must be sorted
+  /// and unique.
   Bundler(std::vector<Rank> dests, BundleMode mode,
           std::size_t flush_threshold_bytes = 0,
           WireCodec codec = WireCodec::kCompact)
-      : dests_(std::move(dests)),
-        out_(dests_.size(), FrameWriter(codec)),
+      : out_(std::move(dests), codec),
         mode_(mode),
-        flush_threshold_bytes_(flush_threshold_bytes),
-        codec_(codec) {
-    PMC_CHECK(std::adjacent_find(dests_.begin(), dests_.end(),
-                                 std::greater_equal<>()) == dests_.end(),
-              "Bundler destination set must be sorted and unique");
-  }
+        flush_threshold_bytes_(flush_threshold_bytes) {}
 
-  [[nodiscard]] BundleMode mode() const noexcept { return mode_; }
-  [[nodiscard]] WireCodec codec() const noexcept { return codec_; }
-
-  /// Appends one record for dst, which must be in the destination set.
+  /// Appends one record for destination `slot`, which must be in range.
   /// SendFn is void(Rank, std::vector<std::byte>, std::int64_t records).
   template <typename R, typename SendFn>
-  void add(Rank dst, const R& record, SendFn&& send) {
-    const auto it = std::lower_bound(dests_.begin(), dests_.end(), dst);
-    PMC_CHECK(it != dests_.end() && *it == dst,
-              "rank " << dst << " is outside the Bundler destination set");
-    if (mode_ == BundleMode::kEager) {
-      FrameWriter w(codec_);
-      w.append(record);
-      send(dst, w.take(), std::int64_t{1});
-      return;
-    }
-    const auto i = static_cast<std::size_t>(it - dests_.begin());
-    FrameWriter& w = out_[i];
-    // A threshold send empties a writer without untouching it, so an index
-    // may repeat here; flush() sends each writer once, while non-empty.
-    if (w.empty()) touched_.push_back(i);
-    w.append(record);
-    if (flush_threshold_bytes_ != 0 &&
-        w.payload_size() >= flush_threshold_bytes_) {
-      const std::int64_t records = w.records();
-      send(dst, w.take(), records);
+  void add(std::size_t slot, const R& record, SendFn&& send) {
+    const FrameWriter& w = out_.append(slot, record);
+    if (mode_ == BundleMode::kEager ||
+        (flush_threshold_bytes_ != 0 &&
+         w.payload_size() >= flush_threshold_bytes_)) {
+      out_.send_now(slot, send);
     }
   }
 
   /// Sends every non-empty staged bundle in ascending destination order
-  /// (bundled mode; no-op when eager): the send sequence feeds FIFO
+  /// (nothing is staged in eager mode): the send sequence feeds FIFO
   /// channels, jitter and fault verdicts downstream, so it must not follow
   /// the order the destinations were first touched in.
   template <typename SendFn>
   void flush(SendFn&& send) {
-    std::sort(touched_.begin(), touched_.end());
-    for (const std::size_t i : touched_) {
-      FrameWriter& w = out_[i];
-      if (w.empty()) continue;
-      const std::int64_t records = w.records();
-      send(dests_[i], w.take(), records);
-    }
-    touched_.clear();
+    out_.flush_ascending(send);
   }
 
   /// Records currently staged across all destinations.
   [[nodiscard]] std::int64_t staged_records() const noexcept {
-    std::int64_t total = 0;
-    for (const FrameWriter& w : out_) total += w.records();
-    return total;
+    return out_.staged_records();
   }
 
  private:
-  std::vector<Rank> dests_;
-  std::vector<FrameWriter> out_;      // parallel to dests_
-  std::vector<std::size_t> touched_;  // indices into dests_, since flush
+  SlotWriters out_;
   BundleMode mode_;
   std::size_t flush_threshold_bytes_;
-  WireCodec codec_;
 };
 
 /// The coloring's boundary announcement (§4.2): vertex `vertex` now has
@@ -432,34 +477,24 @@ struct ColorRecord {
 
 /// Per-source staging of one superstep's boundary records, flushed under a
 /// SendPolicy — the coloring paper's FIAB / FIAC / NEW comparison expressed
-/// as a fabric-level primitive. Customized records are staged only for the
-/// source's destination set (its neighbour ranks), so a rank's staging
+/// as a fabric-level primitive. Customized records are staged by slot of
+/// the source's destination set (its neighbour ranks), so a rank's staging
 /// grows with the ranks it can reach, not with the machine size.
 class FanoutStage {
  public:
   FanoutStage() = default;
-  /// `dests` — every rank stage() may address — must be sorted and unique.
+  /// `dests` — the rank of every slot stage() may address — must be sorted
+  /// and unique.
   FanoutStage(Rank num_ranks, std::vector<Rank> dests,
               WireCodec codec = WireCodec::kCompact)
       : num_ranks_(num_ranks),
-        dests_(std::move(dests)),
-        dest_payload_(dests_.size(), FrameWriter(codec)),
-        union_payload_(codec) {
-    PMC_CHECK(std::adjacent_find(dests_.begin(), dests_.end(),
-                                 std::greater_equal<>()) == dests_.end(),
-              "FanoutStage destination set must be sorted and unique");
-  }
+        out_(std::move(dests), codec),
+        union_payload_(codec) {}
 
-  /// Stages one customized (vertex, color) record for dst
-  /// (kCustomizedNeighbors / -All); dst must be in the destination set.
-  void stage(Rank dst, VertexId global, Color c) {
-    const auto it = std::lower_bound(dests_.begin(), dests_.end(), dst);
-    PMC_CHECK(it != dests_.end() && *it == dst,
-              "rank " << dst << " is outside the FanoutStage destination set");
-    const auto i = static_cast<std::size_t>(it - dests_.begin());
-    auto& w = dest_payload_[i];
-    if (w.empty()) touched_.push_back(i);
-    w.append(ColorRecord{global, c});
+  /// Stages one customized (vertex, color) record for destination `slot`
+  /// (kCustomizedNeighbors / -All), which must be in range.
+  void stage(std::size_t slot, VertexId global, Color c) {
+    out_.append(slot, ColorRecord{global, c});
   }
 
   /// Stages one (vertex, color) record of the shared union payload
@@ -474,22 +509,22 @@ class FanoutStage {
   void flush(SendPolicy policy, Rank src, SendFn&& send) {
     switch (policy) {
       case SendPolicy::kCustomizedNeighbors:
-        // First-touch order.
-        for (const std::size_t i : touched_) send_staged(i, send);
+        out_.flush_first_touch(send);
         break;
       case SendPolicy::kCustomizedAll: {
         // Customized content, but a message goes to *every* other rank —
-        // empty for non-neighbors. Same count as FIAB, lower volume.
-        std::size_t i = 0;
-        for (Rank dst = 0; dst < num_ranks_; ++dst) {
-          while (i < dests_.size() && dests_[i] < dst) ++i;
-          if (dst == src) continue;
-          if (i < dests_.size() && dests_[i] == dst) {
-            send_staged(i, send);
-          } else {
-            send(dst, std::vector<std::byte>{}, std::int64_t{0});
+        // empty where nothing was staged. Same count as FIAB, lower volume.
+        Rank next = 0;
+        const auto send_upto = [&](Rank dst, std::vector<std::byte> bytes,
+                                   std::int64_t records) {
+          for (; next < dst; ++next) {
+            if (next != src) send(next, std::vector<std::byte>{}, 0);
           }
-        }
+          if (dst < num_ranks_) send(dst, std::move(bytes), records);
+          ++next;
+        };
+        out_.flush_ascending(send_upto);
+        send_upto(num_ranks_, {}, 0);
         break;
       }
       case SendPolicy::kBroadcastUnion: {
@@ -502,21 +537,11 @@ class FanoutStage {
         break;
       }
     }
-    touched_.clear();
   }
 
  private:
-  template <typename SendFn>
-  void send_staged(std::size_t i, SendFn& send) {
-    auto& w = dest_payload_[i];
-    const std::int64_t records = w.records();
-    send(dests_[i], w.take(), records);
-  }
-
   Rank num_ranks_ = 0;
-  std::vector<Rank> dests_;
-  std::vector<FrameWriter> dest_payload_;  // parallel to dests_
-  std::vector<std::size_t> touched_;       // indices into dests_
+  SlotWriters out_;
   FrameWriter union_payload_;
 };
 

@@ -51,11 +51,6 @@ struct CanonState {
   /// Boundary vertices announced this round, in announcement order — the
   /// deterministic scan list for the lost-announcement repair.
   std::vector<VertexId> announced;
-  /// For each owned boundary vertex, the sorted ranks owning its neighbors.
-  std::vector<std::vector<Rank>> adj_ranks;
-  /// For each ghost, the owned vertices adjacent to it (the re-check
-  /// frontier when the ghost's color changes).
-  std::vector<std::vector<VertexId>> ghost_incidence;
   ColorChooser chooser{ColorStrategy::kFirstFit};
   FanoutStage stage;
 };
@@ -111,24 +106,6 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
     } else {
       st.to_color.resize(static_cast<std::size_t>(lg.num_owned()));
       std::iota(st.to_color.begin(), st.to_color.end(), VertexId{0});
-    }
-    st.adj_ranks.assign(static_cast<std::size_t>(lg.num_owned()), {});
-    for (const VertexId v : lg.boundary_vertices()) {
-      std::vector<Rank>& ranks = st.adj_ranks[static_cast<std::size_t>(v)];
-      for (const VertexId u : lg.neighbors(v)) {
-        if (lg.is_ghost(u)) ranks.push_back(lg.ghost_owner(u));
-      }
-      std::sort(ranks.begin(), ranks.end());
-      ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
-    }
-    st.ghost_incidence.assign(static_cast<std::size_t>(lg.num_ghosts()), {});
-    for (VertexId v = 0; v < lg.num_owned(); ++v) {
-      for (const VertexId u : lg.neighbors(v)) {
-        if (lg.is_ghost(u)) {
-          st.ghost_incidence[static_cast<std::size_t>(u - lg.num_owned())]
-              .push_back(v);
-        }
-      }
     }
   }
 
@@ -187,7 +164,7 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
           if (options.comm_mode == CommMode::kBroadcastUnion) {
             st.stage.stage_union(global, fit);
           } else {
-            for (const Rank dst : st.adj_ranks[static_cast<std::size_t>(v)]) {
+            for (const Slot dst : lg.boundary_slots(v)) {
               st.stage.stage(dst, global, fit);
             }
           }
@@ -215,11 +192,11 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
           if (!lg.is_ghost(u)) next.push_back(u);
         }
       }
+      // The owned neighbors of each ghost whose color changed likewise.
       for (const VertexId g : st.ghost_changed) {
-        const auto& inc =
-            st.ghost_incidence[static_cast<std::size_t>(g - lg.num_owned())];
-        ctx.charge(static_cast<double>(inc.size()), WorkPhase::kBoundary);
-        next.insert(next.end(), inc.begin(), inc.end());
+        const auto arcs = lg.ghost_arcs(g);
+        ctx.charge(static_cast<double>(arcs.size()), WorkPhase::kBoundary);
+        for (const LocalGraph::GhostArc ga : arcs) next.push_back(ga.vertex);
       }
       std::sort(next.begin(), next.end());
       next.erase(std::unique(next.begin(), next.end()), next.end());

@@ -61,8 +61,6 @@ void IncrementalMatchProcess::start(EventContext& ctx) {
     mate_[static_cast<std::size_t>(v)] = lg_.local_id(pm);
   }
 
-  build_ghost_incidence();
-
   // Invalidate the owned seeds and close over them.
   for (const VertexId g : touched_) {
     const VertexId v = lg_.local_id(g);
@@ -91,22 +89,15 @@ void IncrementalMatchProcess::invalidate(EventContext& ctx, VertexId v) {
 
   // Announce the revival to every rank holding a ghost copy of v, and run
   // the closure checks on v's local neighbors.
-  scratch_ranks_.clear();
   for (EdgeId a = lg_.offset_begin(v); a < lg_.offset_end(v); ++a) {
     ctx.charge(1.0);
     const VertexId t = lg_.arc_target(a);
-    if (lg_.is_ghost(t)) {
-      scratch_ranks_.push_back(lg_.ghost_owner(t));
-    } else if (closure_pulls(t, v, lg_.arc_weight(a))) {
+    if (!lg_.is_ghost(t) && closure_pulls(t, v, lg_.arc_weight(a))) {
       closure_queue_.push_back(t);
     }
   }
-  std::sort(scratch_ranks_.begin(), scratch_ranks_.end());
-  scratch_ranks_.erase(
-      std::unique(scratch_ranks_.begin(), scratch_ranks_.end()),
-      scratch_ranks_.end());
-  for (const Rank r : scratch_ranks_) {
-    enqueue_record(ctx, r, {RecordType::kInvalidate, lg_.global_id(v)});
+  for (const Slot slot : lg_.boundary_slots(v)) {
+    enqueue_record(ctx, slot, {RecordType::kInvalidate, lg_.global_id(v)});
   }
 }
 
@@ -167,7 +158,7 @@ void IncrementalMatchProcess::handle_invalidate(EventContext& ctx,
   const auto gidx = static_cast<std::size_t>(g - lg_.num_owned());
   PMC_CHECK(ghost_dead_[gidx], "duplicate INVALIDATE for " << v_global);
   ghost_dead_[gidx] = false;  // revived: negotiable again
-  for (const auto& [u, arc] : ghost_incidence_[gidx]) {
+  for (const auto [u, arc] : lg_.ghost_arcs(g)) {
     ctx.charge(1.0);
     // The mate check is rule (a) for cross pairs: mate_[u] == g means the
     // pair (u, g) dissolved on the other rank.

@@ -2,8 +2,11 @@
 // boundary classification, invariants).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -17,6 +20,92 @@
 namespace pmc {
 namespace {
 
+/// Recomputes every rank's neighbour ranks, ghost slots, boundary slots and
+/// ghost arcs from the global graph and compares them with the tables
+/// DistGraph::build derived. The local adjacency keeps each vertex's global
+/// neighbour order, so the i-th neighbour of v is arc offset_begin(v) + i.
+void expect_boundary_tables_match_global(const Graph& g, const Partition& p,
+                                         const DistGraph& dist) {
+  for (Rank r = 0; r < dist.num_ranks(); ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const LocalGraph& lg = dist.local(r);
+    const std::vector<Rank>& nbrs = lg.neighbor_ranks();
+    std::vector<Rank> all_owners;
+    std::vector<std::vector<std::pair<VertexId, EdgeId>>> arcs(
+        static_cast<std::size_t>(lg.num_ghosts()));
+    for (VertexId v = 0; v < lg.num_owned(); ++v) {
+      const auto global_nbrs = g.neighbors(lg.global_id(v));
+      std::vector<Rank> owners;
+      for (std::size_t i = 0; i < global_nbrs.size(); ++i) {
+        const Rank owner = p.owner(global_nbrs[i]);
+        if (owner == r) continue;
+        owners.push_back(owner);
+        const VertexId ghost = lg.local_id(global_nbrs[i]);
+        ASSERT_TRUE(ghost != kNoVertex && lg.is_ghost(ghost));
+        arcs[static_cast<std::size_t>(ghost - lg.num_owned())].emplace_back(
+            v, lg.offset_begin(v) + static_cast<EdgeId>(i));
+      }
+      std::sort(owners.begin(), owners.end());
+      owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+      all_owners.insert(all_owners.end(), owners.begin(), owners.end());
+      std::vector<Rank> got;
+      for (const Slot s : lg.boundary_slots(v)) {
+        ASSERT_LT(s, nbrs.size());
+        got.push_back(nbrs[s]);
+      }
+      ASSERT_EQ(got, owners) << "global vertex " << lg.global_id(v);
+      EXPECT_EQ(lg.is_boundary(v), !owners.empty());
+    }
+    std::sort(all_owners.begin(), all_owners.end());
+    all_owners.erase(std::unique(all_owners.begin(), all_owners.end()),
+                     all_owners.end());
+    EXPECT_EQ(nbrs, all_owners);
+    for (VertexId l = lg.num_owned(); l < lg.num_local(); ++l) {
+      ASSERT_LT(lg.ghost_slot(l), nbrs.size());
+      EXPECT_EQ(nbrs[lg.ghost_slot(l)], p.owner(lg.global_id(l)));
+      EXPECT_EQ(lg.ghost_owner(l), p.owner(lg.global_id(l)));
+      std::vector<std::pair<VertexId, EdgeId>> got;
+      for (const LocalGraph::GhostArc ga : lg.ghost_arcs(l)) {
+        got.emplace_back(ga.vertex, ga.arc);
+      }
+      EXPECT_EQ(got, arcs[static_cast<std::size_t>(l - lg.num_owned())])
+          << "ghost " << lg.global_id(l);
+    }
+  }
+}
+
+TEST(DistGraph, BoundaryTablesMatchTheGlobalGraph) {
+  struct Case {
+    const char* name;
+    Graph g;
+    Partition p;
+  };
+  const Graph grid = grid_2d(13, 10, WeightKind::kUniformRandom, 9);
+  const Graph circuit = circuit_like(600, 1200, 6, WeightKind::kUnit, 10);
+  const Graph power_law = rmat(9, 8);
+  const Graph hub = star(40);
+  std::vector<Case> cases;
+  // 3 processor rows do not divide 13 grid rows: uneven blocks.
+  cases.push_back({"grid 13x10 on 3x2", grid, grid_2d_partition(13, 10, 3, 2)});
+  cases.push_back({"circuit multilevel 7", circuit,
+                   multilevel_partition(circuit, 7,
+                                        MultilevelConfig::metis_like(4))});
+  cases.push_back({"rmat random 6", power_law,
+                   random_partition(power_law.num_vertices(), 6, 11)});
+  cases.push_back({"rmat multilevel 5", power_law,
+                   multilevel_partition(power_law, 5,
+                                        MultilevelConfig::metis_like(5))});
+  // One hub adjacent to every other rank: its slot list spans them all.
+  cases.push_back({"star random 9", hub,
+                   random_partition(hub.num_vertices(), 9, 12)});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const DistGraph dist = DistGraph::build(c.g, c.p);
+    dist.validate(c.g, c.p);
+    expect_boundary_tables_match_global(c.g, c.p, dist);
+  }
+}
+
 TEST(DistGraph, PathAcrossTwoRanks) {
   const Graph g = path(4);  // 0-1-2-3
   const Partition p(2, {0, 0, 1, 1});
@@ -28,8 +117,7 @@ TEST(DistGraph, PathAcrossTwoRanks) {
   EXPECT_EQ(l0.num_ghosts(), 1);  // vertex 2 as ghost
   EXPECT_EQ(l0.num_cross_edges(), 1);
   EXPECT_EQ(l0.neighbor_ranks(), (std::vector<Rank>{1}));
-  EXPECT_EQ(l0.interior_vertices().size(), 1u);
-  EXPECT_EQ(l0.boundary_vertices().size(), 1u);
+  EXPECT_FALSE(l0.is_boundary(l0.local_id(0)));  // the interior vertex
 
   // Vertex 1 (local id 1 on rank 0) is boundary; its ghost neighbor is
   // global vertex 2.
@@ -53,7 +141,9 @@ TEST(DistGraph, SingleRankHasNoGhosts) {
   dist.validate(g, p);
   EXPECT_EQ(dist.local(0).num_ghosts(), 0);
   EXPECT_EQ(dist.local(0).num_cross_edges(), 0);
-  EXPECT_EQ(dist.local(0).boundary_vertices().size(), 0u);
+  for (VertexId v = 0; v < dist.local(0).num_owned(); ++v) {
+    EXPECT_FALSE(dist.local(0).is_boundary(v));
+  }
 }
 
 TEST(DistGraph, WeightsSurviveDistribution) {
@@ -156,6 +246,7 @@ TEST_P(DistGraphSweep, InvariantsAcrossGraphsAndParts) {
                            MultilevelConfig::metis_like(5));
   const DistGraph dist = DistGraph::build(g, p);
   dist.validate(g, p);
+  expect_boundary_tables_match_global(g, p, dist);
 
   // The global -> local index round-trips every local id and answers
   // kNoVertex for vertices the rank does not hold (out-of-range ids too).

@@ -121,7 +121,7 @@ TEST(Dist2View, TwoHopClosureOnPath) {
   // Rank 2 owns {4}: recipients of 4's color = rank 1 (owns 3 at d1, 2 at d2).
   const auto& v2 = views[2];
   ASSERT_EQ(v2.recipients[0].size(), 1u);
-  EXPECT_EQ(v2.recipients[0][0], 1);
+  EXPECT_EQ(v2.recipient_ranks[v2.recipients[0][0]], 1);
 }
 
 TEST(Dist2Native, ProperAcrossRankCountsAndModes) {

@@ -424,14 +424,20 @@ struct SendLog {
   }
 };
 
+/// The slot of rank `dst` in the sorted destination set `dests`.
+std::size_t slot_of(const std::vector<Rank>& dests, Rank dst) {
+  return static_cast<std::size_t>(
+      std::lower_bound(dests.begin(), dests.end(), dst) - dests.begin());
+}
+
 std::vector<int> bundler_round_trip(BundleMode mode, std::size_t threshold,
                                     int num_records, SendLog& log,
                                     WireCodec codec = WireCodec::kCompact) {
   Bundler bundler({0, 1, 2}, mode, threshold, codec);
   std::vector<int> staged;
   for (int i = 0; i < num_records; ++i) {
-    const Rank dst = static_cast<Rank>(i % 3);
-    bundler.add(dst, test::IdRecord{i}, log.sink());
+    const auto slot = static_cast<std::size_t>(i % 3);
+    bundler.add(slot, test::IdRecord{i}, log.sink());
     staged.push_back(i);
   }
   bundler.flush(log.sink());
@@ -469,7 +475,7 @@ TEST(Bundler, FlushEmitsBundlesInAscendingDestinationOrder) {
   std::sort(neighbours.begin(), neighbours.end());
   Bundler bundler(neighbours, BundleMode::kBundled);
   for (const Rank dst : dsts) {
-    bundler.add(dst, test::IdRecord{dst}, log.sink());
+    bundler.add(slot_of(neighbours, dst), test::IdRecord{dst}, log.sink());
   }
   bundler.flush(log.sink());
   ASSERT_EQ(log.sent.size(), std::size(dsts));
@@ -481,7 +487,7 @@ TEST(Bundler, FlushEmitsBundlesInAscendingDestinationOrder) {
 TEST(Bundler, SecondFlushSendsNothing) {
   SendLog log;
   Bundler bundler({1}, BundleMode::kBundled);
-  bundler.add(1, test::IdRecord{7}, log.sink());
+  bundler.add(0, test::IdRecord{7}, log.sink());
   bundler.flush(log.sink());
   const std::size_t after_first = log.sent.size();
   bundler.flush(log.sink());
@@ -494,8 +500,8 @@ TEST(Bundler, FlushAfterTouchingOneOfManyNeighboursSendsOneMessage) {
   for (Rank r = 1; r <= 200; r += 2) neighbours.push_back(r);
   Bundler bundler(neighbours, BundleMode::kBundled);
   SendLog log;
-  bundler.add(77, test::IdRecord{5}, log.sink());
-  bundler.add(77, test::IdRecord{6}, log.sink());
+  bundler.add(slot_of(neighbours, 77), test::IdRecord{5}, log.sink());
+  bundler.add(slot_of(neighbours, 77), test::IdRecord{6}, log.sink());
   EXPECT_EQ(bundler.staged_records(), 2);
   bundler.flush(log.sink());
   ASSERT_EQ(log.sent.size(), 1u);
@@ -509,7 +515,7 @@ TEST(Bundler, ThresholdSendThenRefillFlushesTheRemainderOnce) {
   // records staged after it must leave in exactly one flush message.
   SendLog log;
   Bundler bundler({1, 2}, BundleMode::kBundled, 16, WireCodec::kFixed);
-  for (int i = 0; i < 3; ++i) bundler.add(2, test::IdRecord{i}, log.sink());
+  for (int i = 0; i < 3; ++i) bundler.add(1, test::IdRecord{i}, log.sink());
   ASSERT_EQ(log.sent.size(), 1u);  // ids 0 and 1 reached the threshold
   EXPECT_EQ(bundler.staged_records(), 1);
   bundler.flush(log.sink());
@@ -519,13 +525,13 @@ TEST(Bundler, ThresholdSendThenRefillFlushesTheRemainderOnce) {
   EXPECT_EQ(log.decode_ids(), (std::vector<int>{0, 1, 2}));
 }
 
-TEST(Bundler, RejectsADestinationOutsideItsNeighbourSet) {
+TEST(Bundler, RejectsASlotOutsideItsDestinationSet) {
   SendLog log;
   for (const BundleMode mode : {BundleMode::kBundled, BundleMode::kEager}) {
     Bundler bundler({2, 5, 9}, mode);
     EXPECT_THROW(bundler.add(3, test::IdRecord{1}, log.sink()), Error);
     EXPECT_THROW(bundler.add(10, test::IdRecord{1}, log.sink()), Error);
-    EXPECT_THROW(bundler.add(0, test::IdRecord{1}, log.sink()), Error);
+    EXPECT_THROW(bundler.add(kNoSlot, test::IdRecord{1}, log.sink()), Error);
   }
   EXPECT_TRUE(log.sent.empty());
   EXPECT_THROW(Bundler({5, 2}, BundleMode::kBundled), Error);
@@ -548,14 +554,56 @@ TEST(Bundler, ThresholdFlushBoundsStagedBytesWithoutLoss) {
   EXPECT_EQ(ids, staged);
 }
 
+// ---- SlotWriters ------------------------------------------------------------
+
+TEST(SlotWriters, FlushesTouchedSlotsInAscendingOrFirstTouchOrder) {
+  // The core Bundler and FanoutStage share: the same staging, flushed in
+  // first-touch order (FanoutStage's NEW policy), then in ascending slot =
+  // rank order (Bundler, the verifiers, Jones–Plassmann).
+  SlotWriters out({2, 5, 9}, WireCodec::kCompact);
+  const auto stage = [&] {
+    out.append(2, test::IdRecord{0});
+    out.append(0, test::IdRecord{1});
+    out.append(2, test::IdRecord{2});
+    out.append(1, test::IdRecord{3});
+  };
+  SendLog first;
+  stage();
+  EXPECT_EQ(out.staged_records(), 4);
+  out.flush_first_touch(first.sink());
+  ASSERT_EQ(first.sent.size(), 3u);
+  EXPECT_EQ(first.sent[0].dst, 9);
+  EXPECT_EQ(first.sent[0].records, 2);
+  EXPECT_EQ(first.sent[1].dst, 2);
+  EXPECT_EQ(first.sent[2].dst, 5);
+  EXPECT_EQ(first.decode_ids(), (std::vector<int>{0, 2, 1, 3}));
+  EXPECT_EQ(out.staged_records(), 0);
+
+  SendLog ascending;
+  stage();
+  out.flush_ascending(ascending.sink());
+  ASSERT_EQ(ascending.sent.size(), 3u);
+  EXPECT_EQ(ascending.sent[0].dst, 2);
+  EXPECT_EQ(ascending.sent[1].dst, 5);
+  EXPECT_EQ(ascending.sent[2].dst, 9);
+  EXPECT_EQ(ascending.sent[2].records, 2);
+  EXPECT_EQ(ascending.decode_ids(), (std::vector<int>{1, 3, 0, 2}));
+
+  // Either flush resets the touched list: nothing is left to send.
+  out.flush_first_touch(ascending.sink());
+  out.flush_ascending(ascending.sink());
+  EXPECT_EQ(ascending.sent.size(), 3u);
+  EXPECT_THROW(SlotWriters({9, 2}, WireCodec::kCompact), Error);
+}
+
 // ---- FanoutStage ------------------------------------------------------------
 
 TEST(FanoutStage, CustomizedNeighborsSendsOnlyToTouchedRanks) {
   FanoutStage stage(4, {1, 2, 3});
   SendLog log;
-  stage.stage(1, VertexId{10}, Color{2});
-  stage.stage(3, VertexId{11}, Color{4});
-  stage.stage(1, VertexId{12}, Color{1});
+  stage.stage(0, VertexId{10}, Color{2});  // rank 1
+  stage.stage(2, VertexId{11}, Color{4});  // rank 3
+  stage.stage(0, VertexId{12}, Color{1});
   stage.flush(SendPolicy::kCustomizedNeighbors, 0, log.sink());
   ASSERT_EQ(log.sent.size(), 2u);
   EXPECT_EQ(log.sent[0].dst, 1);
@@ -567,9 +615,9 @@ TEST(FanoutStage, CustomizedNeighborsSendsOnlyToTouchedRanks) {
 TEST(FanoutStage, CustomizedNeighborsFlushesInFirstTouchOrder) {
   FanoutStage stage(4, {1, 3});
   SendLog log;
-  stage.stage(3, VertexId{10}, Color{2});
-  stage.stage(1, VertexId{11}, Color{4});
-  stage.stage(3, VertexId{12}, Color{1});
+  stage.stage(1, VertexId{10}, Color{2});  // rank 3
+  stage.stage(0, VertexId{11}, Color{4});  // rank 1
+  stage.stage(1, VertexId{12}, Color{1});
   stage.flush(SendPolicy::kCustomizedNeighbors, 0, log.sink());
   ASSERT_EQ(log.sent.size(), 2u);
   EXPECT_EQ(log.sent[0].dst, 3);
@@ -581,7 +629,7 @@ TEST(FanoutStage, CustomizedNeighborsFlushesInFirstTouchOrder) {
 TEST(FanoutStage, CustomizedAllSendsPossiblyEmptyMessageToEveryOtherRank) {
   FanoutStage stage(4, {0, 1, 3});
   SendLog log;
-  stage.stage(1, VertexId{10}, Color{2});
+  stage.stage(1, VertexId{10}, Color{2});  // rank 1
   stage.flush(SendPolicy::kCustomizedAll, 2, log.sink());
   // Three messages (every rank but the source), only one non-empty.
   ASSERT_EQ(log.sent.size(), 3u);
@@ -596,7 +644,7 @@ TEST(FanoutStage, CustomizedAllSendsPossiblyEmptyMessageToEveryOtherRank) {
 TEST(FanoutStage, CustomizedAllSendsEmptyFramesToRanksOutsideTheSet) {
   FanoutStage stage(4, {1});
   SendLog log;
-  stage.stage(1, VertexId{10}, Color{2});
+  stage.stage(0, VertexId{10}, Color{2});  // rank 1
   stage.flush(SendPolicy::kCustomizedAll, 2, log.sink());
   // Every rank but the source, in ascending order; only rank 1 (the one
   // destination-set member) carries bytes.
@@ -615,10 +663,10 @@ TEST(FanoutStage, CustomizedAllSendsEmptyFramesToRanksOutsideTheSet) {
   }
 }
 
-TEST(FanoutStage, StagingOutsideTheDestinationSetThrows) {
+TEST(FanoutStage, StagingAnOutOfRangeSlotThrows) {
   FanoutStage stage(4, {1, 3});
   EXPECT_THROW(stage.stage(2, VertexId{10}, Color{0}), Error);
-  EXPECT_THROW(stage.stage(0, VertexId{10}, Color{0}), Error);
+  EXPECT_THROW(stage.stage(kNoSlot, VertexId{10}, Color{0}), Error);
   EXPECT_THROW((FanoutStage(4, {3, 1})), Error);  // unsorted
   EXPECT_THROW((FanoutStage(4, {1, 1})), Error);  // duplicate
 }
@@ -640,7 +688,7 @@ TEST(FanoutStage, BroadcastUnionCopiesTheUnionToEveryOtherRank) {
 TEST(FanoutStage, FlushResetsStateBetweenSupersteps) {
   FanoutStage stage(3, {1});
   SendLog log;
-  stage.stage(1, VertexId{10}, Color{0});
+  stage.stage(0, VertexId{10}, Color{0});
   stage.flush(SendPolicy::kCustomizedNeighbors, 0, log.sink());
   stage.flush(SendPolicy::kCustomizedNeighbors, 0, log.sink());
   EXPECT_EQ(log.sent.size(), 1u);  // nothing staged for the second flush

@@ -2,7 +2,8 @@
 # Perf-regression guard over the committed BENCH_*.json baselines.
 #
 # Each committed artifact must (a) parse as JSON, (b) carry the sweep
-# metadata (bench name, hardware_concurrency, rows), (c) have every row
+# metadata (bench name, hardware_concurrency, the argv command line that
+# produced it, rows), (c) have every row
 # carry workload/threads/sim_seconds/wall_seconds, and (d) keep each
 # workload's modelled sim_seconds bit-identical across the thread sweep —
 # the execution backend's contract: thread count may change wall-clock
@@ -79,9 +80,13 @@ def load(path):
 def validate(path, doc):
     """Structural checks; returns {(workload, threads): sim_seconds}."""
     failures_before = failures
-    for key in ("bench", "hardware_concurrency", "rows"):
+    for key in ("bench", "hardware_concurrency", "argv", "rows"):
         if key not in doc:
             fail(path, f"missing top-level key '{key}'")
+    argv = doc.get("argv")
+    if "argv" in doc and (not isinstance(argv, list) or not argv or
+                          not all(isinstance(a, str) for a in argv)):
+        fail(path, "'argv' must be a non-empty list of strings")
     rows = doc.get("rows")
     if not isinstance(rows, list) or not rows:
         fail(path, "'rows' must be a non-empty list")
@@ -119,7 +124,7 @@ def validate(path, doc):
     hw = doc.get("hardware_concurrency")
     print(f"check_bench_artifacts: {path}: OK "
           f"({n} rows, {len(sim_by_workload)} workload(s), "
-          f"hardware_concurrency={hw})")
+          f"hardware_concurrency={hw}, argv={' '.join(doc['argv'])})")
     return sim_by_key
 
 

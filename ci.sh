@@ -30,6 +30,10 @@ tier1() {
   # The codec ablation self-checks: identical results under both codecs,
   # compact payload <= fixed payload per row, and >= 30% total reduction.
   ./build/bench/bench_ablation_codec --json=build/BENCH_codec.json
+  # Distance-2 runs the distance-1 round loop over two-hop views; the bench
+  # fails unless both the native and the squared-graph formulation give
+  # proper distance-2 colorings.
+  ./build/bench/bench_distance2 --vertices=4000 --ranks=4,16
   # Host-memory gate: per-rank send staging must grow with a rank's
   # neighbours, not with the rank count. With neighbour-keyed staging this
   # 16,384-rank run peaks at 164 MB in 1.5 s (4-vCPU Xeon VM); with one

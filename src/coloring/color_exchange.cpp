@@ -5,25 +5,8 @@
 #include <utility>
 
 #include "runtime/serialize.hpp"
-#include "support/error.hpp"
 
 namespace pmc {
-
-void apply_color_records(const LocalGraph& lg, std::vector<Color>& color,
-                         const BspMessage& msg,
-                         std::vector<VertexId>* changed) {
-  // FIAC sends (possibly empty) messages to every rank; an empty message
-  // carries no frame and no records.
-  for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
-    const VertexId local = lg.local_id(rec.vertex);
-    // Broadcast modes deliver records for vertices this rank has never heard
-    // of; that waste is exactly what the customized modes eliminate.
-    if (local == kNoVertex) return;
-    auto& slot = color[static_cast<std::size_t>(local)];
-    if (changed != nullptr && slot != rec.color) changed->push_back(local);
-    slot = rec.color;
-  });
-}
 
 void sort_lost(std::vector<VertexId>& lost) {
   std::sort(lost.begin(), lost.end());

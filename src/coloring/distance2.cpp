@@ -27,12 +27,6 @@ Coloring greedy_distance2_coloring(const Graph& g, OrderingKind ordering,
   return result;
 }
 
-DistColoringResult color_distance2_distributed(
-    const Graph& g, const Partition& p, const DistColoringOptions& options) {
-  const Graph squared = square_graph(g);
-  return color_distributed(squared, p, options);
-}
-
 bool is_proper_distance2_coloring(const Graph& g, const Coloring& c,
                                   std::string* why) {
   if (!is_proper_coloring(g, c, why)) return false;

@@ -4,14 +4,13 @@
 // colors. Greedy first-fit uses at most Δ² + 1 colors.
 //
 // Provided as the library's extension beyond the paper's distance-1
-// experiments: a sequential greedy algorithm plus verification.
+// experiments: a sequential greedy algorithm plus verification. The
+// distributed version is coloring/distance2_parallel.hpp.
 #pragma once
 
 #include "coloring/coloring.hpp"
-#include "coloring/parallel.hpp"
 #include "coloring/sequential.hpp"
 #include "graph/csr_graph.hpp"
-#include "partition/partition.hpp"
 
 namespace pmc {
 
@@ -24,15 +23,5 @@ namespace pmc {
 [[nodiscard]] bool is_proper_distance2_coloring(const Graph& g,
                                                 const Coloring& c,
                                                 std::string* why = nullptr);
-
-/// Distributed distance-2 coloring: runs the paper's speculative framework
-/// on the square graph G² (a distance-1 coloring of G² is a distance-2
-/// coloring of g) under the *original* partition, so communication
-/// patterns reflect the 2-hop ghost exchange a native implementation would
-/// perform. Production systems avoid materializing G²; for the simulated
-/// reproduction the semantics are identical.
-[[nodiscard]] DistColoringResult color_distance2_distributed(
-    const Graph& g, const Partition& p,
-    const DistColoringOptions& options = DistColoringOptions::improved());
 
 }  // namespace pmc

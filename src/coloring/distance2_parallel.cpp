@@ -1,14 +1,9 @@
 #include "coloring/distance2_parallel.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "coloring/color_exchange.hpp"
-#include "runtime/bsp_engine.hpp"
-#include "runtime/fabric.hpp"
-#include "runtime/serialize.hpp"
 #include "support/error.hpp"
-#include "support/timer.hpp"
 
 namespace pmc {
 
@@ -20,19 +15,16 @@ std::vector<Dist2RankView> build_dist2_views(const Graph& g,
   std::vector<Dist2RankView> views(static_cast<std::size_t>(parts));
 
   // Owned vertices first, in global order (matching DistGraph's layout).
-  for (Rank r = 0; r < parts; ++r) {
-    views[static_cast<std::size_t>(r)].rank = r;
-  }
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    views[static_cast<std::size_t>(p.owner(v))].global_ids.push_back(v);
+    views[static_cast<std::size_t>(p.owner(v))].global_ids_.push_back(v);
   }
   for (auto& view : views) {
-    view.num_owned = static_cast<VertexId>(view.global_ids.size());
-    view.index.build(view.global_ids);
+    view.num_owned_ = static_cast<VertexId>(view.global_ids_.size());
+    view.index_.build(view.global_ids_);
   }
 
   auto intern = [](Dist2RankView& view, VertexId global) {
-    return view.index.intern(view.global_ids, global);
+    return view.index_.intern(view.global_ids_, global);
   };
 
   // Distance-1 ghosts (in deterministic order of discovery).
@@ -43,12 +35,13 @@ std::vector<Dist2RankView> build_dist2_views(const Graph& g,
     }
   }
   for (auto& view : views) {
-    view.num_adjacent = static_cast<VertexId>(view.global_ids.size());
+    view.num_adjacent_ = static_cast<VertexId>(view.global_ids_.size());
   }
   // Distance-2 ghosts: neighbors of the distance-1 layer.
   for (auto& view : views) {
-    for (VertexId local = view.num_owned; local < view.num_adjacent; ++local) {
-      for (VertexId w : g.neighbors(view.global_ids[static_cast<std::size_t>(local)])) {
+    for (VertexId local = view.num_owned_; local < view.num_adjacent_;
+         ++local) {
+      for (VertexId w : g.neighbors(view.global_id(local))) {
         (void)intern(view, w);
       }
     }
@@ -56,293 +49,72 @@ std::vector<Dist2RankView> build_dist2_views(const Graph& g,
 
   // Adjacency for owned + distance-1 ghosts, rewritten to local ids.
   for (auto& view : views) {
-    view.offsets.assign(static_cast<std::size_t>(view.num_adjacent) + 1, 0);
-    for (VertexId local = 0; local < view.num_adjacent; ++local) {
-      view.offsets[static_cast<std::size_t>(local) + 1] =
-          g.degree(view.global_ids[static_cast<std::size_t>(local)]);
+    view.offsets_.assign(static_cast<std::size_t>(view.num_adjacent_) + 1, 0);
+    for (VertexId local = 0; local < view.num_adjacent_; ++local) {
+      view.offsets_[static_cast<std::size_t>(local) + 1] =
+          g.degree(view.global_id(local));
     }
-    for (std::size_t i = 1; i < view.offsets.size(); ++i) {
-      view.offsets[i] += view.offsets[i - 1];
+    for (std::size_t i = 1; i < view.offsets_.size(); ++i) {
+      view.offsets_[i] += view.offsets_[i - 1];
     }
-    view.adj.resize(static_cast<std::size_t>(view.offsets.back()));
+    view.adj_.resize(static_cast<std::size_t>(view.offsets_.back()));
     std::size_t cursor = 0;
-    for (VertexId local = 0; local < view.num_adjacent; ++local) {
-      for (VertexId u :
-           g.neighbors(view.global_ids[static_cast<std::size_t>(local)])) {
+    for (VertexId local = 0; local < view.num_adjacent_; ++local) {
+      for (VertexId u : g.neighbors(view.global_id(local))) {
         const VertexId lu = view.local_id(u);
         PMC_CHECK(lu != kNoVertex, "two-hop closure missed vertex " << u);
-        view.adj[cursor++] = lu;
+        view.adj_[cursor++] = lu;
       }
     }
   }
 
-  // Recipients: ranks owning any vertex within distance <= 2 of each owned
-  // vertex; d2-boundary classification. The union of the recipients numbers
-  // the staging slots; each vertex's list holds ranks until it is renumbered
-  // into slots.
-  std::vector<Rank> scratch;
+  // Boundary slots: for each owned vertex, the sorted, unique ranks owning
+  // any other vertex within distance <= 2, staged as ranks in one flat
+  // table; their union is the staging set, whose indices then replace the
+  // ranks.
   std::vector<Slot> slot_of_rank(static_cast<std::size_t>(parts));
-  for (auto& view : views) {
-    view.recipients.assign(static_cast<std::size_t>(view.num_owned), {});
-    auto& dests = view.recipient_ranks;
-    for (VertexId v = 0; v < view.num_owned; ++v) {
-      scratch.clear();
-      const VertexId gv = view.global_ids[static_cast<std::size_t>(v)];
+  for (Rank r = 0; r < parts; ++r) {
+    auto& view = views[static_cast<std::size_t>(r)];
+    const auto owned = static_cast<std::size_t>(view.num_owned_);
+    auto& staged = view.boundary_slots_;
+    view.boundary_slot_offsets_.assign(owned + 1, 0);
+    for (std::size_t v = 0; v < owned; ++v) {
+      const auto first = static_cast<std::ptrdiff_t>(staged.size());
+      const VertexId gv = view.global_ids_[v];
       for (VertexId u : g.neighbors(gv)) {
-        if (p.owner(u) != view.rank) scratch.push_back(p.owner(u));
+        if (p.owner(u) != r) staged.push_back(static_cast<Slot>(p.owner(u)));
         for (VertexId w : g.neighbors(u)) {
-          if (w != gv && p.owner(w) != view.rank) scratch.push_back(p.owner(w));
+          if (w != gv && p.owner(w) != r) {
+            staged.push_back(static_cast<Slot>(p.owner(w)));
+          }
         }
       }
-      std::sort(scratch.begin(), scratch.end());
-      scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                    scratch.end());
-      if (scratch.empty()) continue;
-      view.d2_boundary.push_back(v);
-      view.recipients[static_cast<std::size_t>(v)].assign(scratch.begin(),
-                                                          scratch.end());
-      dests.insert(dests.end(), scratch.begin(), scratch.end());
+      std::sort(staged.begin() + first, staged.end());
+      staged.erase(std::unique(staged.begin() + first, staged.end()),
+                   staged.end());
+      view.boundary_slot_offsets_[v + 1] =
+          static_cast<std::uint32_t>(staged.size());
     }
+    auto& dests = view.neighbor_ranks_;
+    dests.assign(staged.begin(), staged.end());
     std::sort(dests.begin(), dests.end());
     dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
     for (std::size_t i = 0; i < dests.size(); ++i) {
       slot_of_rank[static_cast<std::size_t>(dests[i])] = static_cast<Slot>(i);
     }
-    for (auto& slots : view.recipients) {
-      for (Slot& s : slots) s = slot_of_rank[s];
-    }
+    for (Slot& s : staged) s = slot_of_rank[s];
   }
   return views;
 }
 
-namespace {
-
-struct D2RankState {
-  const Dist2RankView* view = nullptr;
-  std::vector<Color> color;          // all local ids
-  std::vector<VertexId> to_color;    // owned local ids, this round
-  std::vector<VertexId> colored_d2_boundary;
-  ColorChooser chooser{ColorStrategy::kFirstFit};
-  /// Per-rank staging (isolated so rank callbacks can run concurrently).
-  FanoutStage stage;
-};
-
-void d2_apply_records(D2RankState& st, const BspMessage& msg) {
-  for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
-    const VertexId local = st.view->local_id(rec.vertex);
-    PMC_CHECK(local != kNoVertex,
-              "distance-2 record for vertex outside the view");
-    st.color[static_cast<std::size_t>(local)] = rec.color;
-  });
-}
-
-/// First-fit over the distance-2 neighborhood; returns arcs touched.
-double d2_color_vertex(D2RankState& st, VertexId v, Color* chosen) {
-  const Dist2RankView& view = *st.view;
-  double work = 1.0;
-  for (VertexId u : view.neighbors(v)) {
-    const Color cu = st.color[static_cast<std::size_t>(u)];
-    if (cu != kNoColor) st.chooser.forbid(cu);
-    work += 1.0;
-    for (VertexId w : view.neighbors(u)) {
-      if (w == v) continue;
-      const Color cw = st.color[static_cast<std::size_t>(w)];
-      if (cw != kNoColor) st.chooser.forbid(cw);
-      work += 1.0;
-    }
-  }
-  *chosen = st.chooser.choose(nullptr);
-  return work;
-}
-
-}  // namespace
-
 DistColoringResult color_distance2_distributed_native(
     const Graph& g, const Partition& p, const DistColoringOptions& options) {
-  PMC_REQUIRE(options.superstep_size >= 1, "superstep size must be >= 1");
-  WallTimer wall;
   const auto views = build_dist2_views(g, p);
-  const Rank P = p.num_parts();
-  BspEngine engine(P, options.model,
-                   FabricConfig{0.0, 0, options.faults, options.trace},
-                   options.exec);
-  const bool faults_on = engine.faults_enabled();
-  const bool sync_mode = options.superstep_mode == SuperstepMode::kSync;
-
-  std::vector<D2RankState> states(static_cast<std::size_t>(P));
-  for (Rank r = 0; r < P; ++r) {
-    D2RankState& st = states[static_cast<std::size_t>(r)];
-    st.view = &views[static_cast<std::size_t>(r)];
-    st.color.assign(static_cast<std::size_t>(st.view->num_local()), kNoColor);
-    st.chooser = ColorChooser(options.strategy, static_cast<Color>(r));
-    st.to_color.resize(static_cast<std::size_t>(st.view->num_owned));
-    std::iota(st.to_color.begin(), st.to_color.end(), VertexId{0});
-    // Two-hop recipients are precomputed per vertex, so the distance-2
-    // flush always uses the neighbor-customized policy (the paper's NEW
-    // mode) and stages only for the union of those recipients.
-    st.stage = FanoutStage(P, st.view->recipient_ranks, options.codec);
-  }
-
-  DistColoringResult result;
-  // Global ids whose color announcement was dropped this round, per sending
-  // rank; the conflict phase resets and re-enters them (same recovery as the
-  // distance-1 coloring). Receipt callbacks fire on the main thread at the
-  // rank-ordered merge that replays each rank's lane, so no locking is
-  // needed.
-  LostColorSets lost(static_cast<std::size_t>(P));
-
-  while (true) {
-    VertexId max_todo = 0;
-    for (const auto& st : states) {
-      max_todo = std::max(max_todo, static_cast<VertexId>(st.to_color.size()));
-    }
-    if (max_todo == 0) break;
-    PMC_REQUIRE(result.rounds < options.max_rounds,
-                "distance-2 coloring failed to converge in "
-                    << options.max_rounds << " rounds");
-    engine.fabric().set_round_all(result.rounds);
-    const VertexId steps =
-        (max_todo + options.superstep_size - 1) / options.superstep_size;
-    for (VertexId k = 0; k < steps; ++k) {
-      // Asynchronous supersteps poll mid-superstep, so they go through the
-      // snapshot-harvest path — same rule as the distance-1 coloring. The
-      // receive charge scales with records applied (codec-invariant), not
-      // encoded payload bytes.
-      const auto superstep = [&](BspEngine::RankCtx& ctx) {
-        const Rank r = ctx.rank();
-        D2RankState& st = states[static_cast<std::size_t>(r)];
-        if (!sync_mode) {
-          for (const BspMessage& msg : ctx.poll()) {
-            d2_apply_records(st, msg);
-            ctx.charge(static_cast<double>(msg.records), WorkPhase::kBoundary);
-          }
-        }
-        const auto begin = static_cast<std::size_t>(k * options.superstep_size);
-        if (begin >= st.to_color.size()) return;
-        const auto end =
-            std::min(st.to_color.size(),
-                     begin + static_cast<std::size_t>(options.superstep_size));
-        for (std::size_t i = begin; i < end; ++i) {
-          const VertexId v = st.to_color[i];
-          const auto& recipients =
-              st.view->recipients[static_cast<std::size_t>(v)];
-          Color chosen;
-          ctx.charge(d2_color_vertex(st, v, &chosen),
-                     recipients.empty() ? WorkPhase::kInterior
-                                        : WorkPhase::kBoundary);
-          st.color[static_cast<std::size_t>(v)] = chosen;
-          if (recipients.empty()) continue;
-          st.colored_d2_boundary.push_back(v);
-          const VertexId global =
-              st.view->global_ids[static_cast<std::size_t>(v)];
-          for (const Slot slot : recipients) {
-            st.stage.stage(slot, global, chosen);
-          }
-        }
-        st.stage.flush(SendPolicy::kCustomizedNeighbors, r,
-                       lost_tracking_color_sender(lost, faults_on, ctx));
-      };
-      if (sync_mode) {
-        engine.run_ranks(superstep);
-      } else {
-        engine.run_ranks_snapshot(superstep);
-      }
-      ++result.total_supersteps;
-      if (sync_mode) {
-        engine.barrier();
-        engine.run_ranks([&](BspEngine::RankCtx& ctx) {
-          D2RankState& st = states[static_cast<std::size_t>(ctx.rank())];
-          for (const BspMessage& msg : ctx.drain()) d2_apply_records(st, msg);
-        });
-      }
-    }
-
-    engine.barrier();
-    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
-      D2RankState& st = states[static_cast<std::size_t>(ctx.rank())];
-      for (const BspMessage& msg : ctx.drain()) d2_apply_records(st, msg);
-    });
-
-    // Conflict detection over distance-2 neighborhoods. Counters accumulate
-    // per rank and fold in rank order after the parallel region.
-    std::vector<EdgeId> recolored(static_cast<std::size_t>(P), 0);
-    std::vector<std::int64_t> reentries(static_cast<std::size_t>(P), 0);
-    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
-      const Rank r = ctx.rank();
-      D2RankState& st = states[static_cast<std::size_t>(r)];
-      const Dist2RankView& view = *st.view;
-      auto& lost_r = lost[static_cast<std::size_t>(r)];
-      sort_lost(lost_r);
-      st.to_color.clear();
-      for (const VertexId v : st.colored_d2_boundary) {
-        const Color cv = st.color[static_cast<std::size_t>(v)];
-        const VertexId gv = view.global_ids[static_cast<std::size_t>(v)];
-        if (faults_on &&
-            std::binary_search(lost_r.begin(), lost_r.end(), gv)) {
-          // Some two-hop recipient never learned cv; re-enter
-          // unconditionally.
-          st.color[static_cast<std::size_t>(v)] = kNoColor;
-          st.to_color.push_back(v);
-          ++reentries[static_cast<std::size_t>(r)];
-          continue;
-        }
-        const std::uint64_t rv = vertex_priority(gv, options.seed);
-        bool lose = false;
-        double work = 1.0;
-        auto check = [&](VertexId local) {
-          if (lose) return;
-          work += 1.0;
-          if (st.color[static_cast<std::size_t>(local)] != cv) return;
-          const VertexId gu = view.global_ids[static_cast<std::size_t>(local)];
-          if (gu == gv) return;
-          const std::uint64_t ru = vertex_priority(gu, options.seed);
-          if (rv < ru || (rv == ru && gv < gu)) lose = true;
-        };
-        for (VertexId u : view.neighbors(v)) {
-          check(u);
-          if (lose) break;
-          for (VertexId w : view.neighbors(u)) {
-            if (w != v) check(w);
-            if (lose) break;
-          }
-          if (lose) break;
-        }
-        ctx.charge(work, WorkPhase::kBoundary);
-        if (lose) {
-          st.color[static_cast<std::size_t>(v)] = kNoColor;
-          st.to_color.push_back(v);
-          ++recolored[static_cast<std::size_t>(r)];
-        }
-      }
-      st.colored_d2_boundary.clear();
-      lost_r.clear();
-    });
-    EdgeId recolored_total = 0;
-    for (Rank r = 0; r < P; ++r) {
-      recolored_total += recolored[static_cast<std::size_t>(r)];
-      result.fault_reentries += reentries[static_cast<std::size_t>(r)];
-    }
-    result.conflicts_per_round.push_back(recolored_total);
-    ++result.rounds;
-    engine.allreduce();
-  }
-
-  result.coloring.color.assign(
-      static_cast<std::size_t>(g.num_vertices()), kNoColor);
-  for (Rank r = 0; r < P; ++r) {
-    const D2RankState& st = states[static_cast<std::size_t>(r)];
-    for (VertexId v = 0; v < st.view->num_owned; ++v) {
-      result.coloring.color[static_cast<std::size_t>(
-          st.view->global_ids[static_cast<std::size_t>(v)])] =
-          st.color[static_cast<std::size_t>(v)];
-    }
-  }
-  engine.fabric().export_into(result.run);
-  result.run.wall_seconds = wall.seconds();
-  result.run.rounds = result.rounds;
-  result.snapshot_parallel_supersteps = engine.snapshot_parallel_phases();
-  result.snapshot_fallback_supersteps = engine.snapshot_fallback_phases();
-  return result;
+  // The one place the distance-2 contract lives: NEW sends, local-id order.
+  DistColoringOptions d2 = options;
+  d2.comm_mode = CommMode::kCustomizedNeighbors;
+  d2.local_order = LocalOrder::kNatural;
+  return color_speculative<Dist2RankView>(views, g.num_vertices(), d2);
 }
 
 }  // namespace pmc

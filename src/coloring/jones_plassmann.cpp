@@ -95,10 +95,10 @@ JonesPlassmannResult color_jones_plassmann(
       st.out.flush_ascending(sender(ctx));
     });
     // Round barrier + ghost color application.
-    engine.barrier();
-    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
+    engine.exchange([&](BspEngine::RankCtx& ctx,
+                        std::vector<BspMessage> msgs) {
       JpRankState& st = states[static_cast<std::size_t>(ctx.rank())];
-      for (const BspMessage& msg : ctx.drain()) {
+      for (const BspMessage& msg : msgs) {
         for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
           const VertexId local = st.lg->local_id(rec.vertex);
           PMC_CHECK(local != kNoVertex, "JP record for unknown vertex");

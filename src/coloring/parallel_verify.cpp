@@ -36,15 +36,14 @@ DistVerifyResult verify_coloring_distributed(const DistGraph& dist,
     }
     out.flush_ascending(sender(ctx));
   });
-  engine.barrier();
 
   std::vector<std::int64_t> violations(static_cast<std::size_t>(P), 0);
-  engine.run_ranks([&](BspEngine::RankCtx& ctx) {
+  engine.exchange([&](BspEngine::RankCtx& ctx, std::vector<BspMessage> msgs) {
     const Rank r = ctx.rank();
     const LocalGraph& lg = dist.local(r);
     std::int64_t& mine = violations[static_cast<std::size_t>(r)];
     GhostValues<Color> ghost_color(lg);
-    for (const BspMessage& msg : ctx.drain()) {
+    for (const BspMessage& msg : msgs) {
       for_each_record<ColorRecord>(msg.payload, [&](const ColorRecord& rec) {
         ghost_color.store(rec.vertex, rec.color);
       });

@@ -37,17 +37,16 @@ DistVerifyResult verify_matching_distributed(const DistGraph& dist,
     }
     out.flush_ascending(sender(ctx));
   });
-  engine.barrier();
 
   // Phase 2: verify with local + ghost information only.
   std::vector<std::int64_t> violations(static_cast<std::size_t>(P), 0);
-  engine.run_ranks([&](BspEngine::RankCtx& ctx) {
+  engine.exchange([&](BspEngine::RankCtx& ctx, std::vector<BspMessage> msgs) {
     const Rank r = ctx.rank();
     std::int64_t& mine = violations[static_cast<std::size_t>(r)];
     const LocalGraph& lg = dist.local(r);
     // Ghost mate table from the received records.
     GhostValues<VertexId> ghost_mate(lg);
-    for (const BspMessage& msg : ctx.drain()) {
+    for (const BspMessage& msg : msgs) {
       for_each_record<MateRecord>(msg.payload, [&](const MateRecord& rec) {
         ghost_mate.store(rec.vertex, rec.mate);
       });

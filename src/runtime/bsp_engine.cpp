@@ -127,15 +127,12 @@ std::vector<BspMessage> BspEngine::RankCtx::poll() {
   return std::move(snapshot_);
 }
 
-std::vector<BspMessage> BspEngine::RankCtx::drain() {
-  return engine_->drain(rank());
-}
-
 void BspEngine::exchange(
     const std::function<void(RankCtx&, std::vector<BspMessage>)>& apply) {
   barrier();
-  // Post-barrier drains touch only the rank's own inbox.
-  run_ranks([&](RankCtx& ctx) { apply(ctx, ctx.drain()); });
+  // Post-barrier drains touch only the rank's own inbox, so they are safe —
+  // and deterministic — at every thread count.
+  run_ranks([&](RankCtx& ctx) { apply(ctx, drain(ctx.rank())); });
 }
 
 BspEngine::RankCtx BspEngine::make_ctx(Rank r, bool harvest) {

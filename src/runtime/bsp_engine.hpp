@@ -13,9 +13,10 @@
 //                 is <= the rank's superstep-entry clock (asynchronous
 //                 supersteps: a rank proceeds with whatever color
 //                 information has arrived);
-//   * barrier() — advance every rank to the global completion time of all
-//                 in-flight messages ("wait until all incoming messages are
-//                 successfully received"), then drain() hands them over.
+//   * exchange() — barrier() advances every rank to the global completion
+//                 time of all in-flight messages ("wait until all incoming
+//                 messages are successfully received"), then each rank
+//                 receives its whole inbox.
 //
 // allreduce() models the termination check at the end of each coloring round.
 #pragma once
@@ -128,11 +129,6 @@ class BspEngine {
     /// observe arrivals the harvest did not contain.
     [[nodiscard]] std::vector<BspMessage> poll();
 
-    /// Deliver all pending messages (call in a phase that follows a
-    /// barrier). Touches only this rank's inbox, so it is safe — and
-    /// deterministic — at every thread count.
-    [[nodiscard]] std::vector<BspMessage> drain();
-
    private:
     friend class BspEngine;
     struct PendingSend {
@@ -158,14 +154,14 @@ class BspEngine {
   /// Runs body(ctx) once for every rank: concurrently under a threaded
   /// backend, in rank order under the sequential one, then merged in rank
   /// order. The phase must be free of cross-rank reads (synchronous-
-  /// superstep compute, post-barrier drains, conflict detection); phases
-  /// that poll() mid-superstep use run_ranks_snapshot() instead.
+  /// superstep compute, conflict detection); phases that poll()
+  /// mid-superstep use run_ranks_snapshot() instead.
   void run_ranks(const std::function<void(RankCtx&)>& body);
 
   /// The bulk-synchronous exchange that ends a superstep round: barrier(),
-  /// then a phase in which every rank drains its inbox and `apply` consumes
-  /// the messages. Equivalent to the barrier() + run_ranks(drain...)
-  /// pattern every BSP driver repeats.
+  /// then a run_ranks() phase in which every rank drains its inbox and
+  /// `apply` consumes the messages. Every BSP phase that receives after a
+  /// barrier goes through here.
   void exchange(
       const std::function<void(RankCtx&, std::vector<BspMessage>)>& apply);
 

@@ -174,13 +174,16 @@ class GhostValues {
         received_(static_cast<std::size_t>(lg.num_ghosts()), false) {}
 
   /// Records the value received for global vertex `global`, which must be a
-  /// ghost on this rank.
+  /// ghost on this rank whose value has not arrived yet: an exchange that
+  /// delivers a ghost twice fails here.
   void store(VertexId global, T value) {
     const VertexId local = lg_.local_id(global);
     PMC_CHECK(local != kNoVertex && lg_.is_ghost(local),
               "record for vertex " << global << " names no ghost of rank "
                                    << lg_.rank());
     const auto i = static_cast<std::size_t>(local - lg_.num_owned());
+    PMC_CHECK(!received_[i], "boundary exchange delivered ghost "
+                                 << global << " twice to rank " << lg_.rank());
     values_[i] = value;
     received_[i] = true;
   }
@@ -217,6 +220,11 @@ class DistGraph {
 
   [[nodiscard]] const LocalGraph& local(Rank r) const {
     return locals_[static_cast<std::size_t>(r)];
+  }
+
+  /// Every rank's local view, indexed by rank.
+  [[nodiscard]] std::span<const LocalGraph> locals() const noexcept {
+    return locals_;
   }
 
   [[nodiscard]] VertexId num_global_vertices() const noexcept {

@@ -5,6 +5,7 @@
 
 #include <tuple>
 
+#include "coloring/color_exchange.hpp"
 #include "coloring/jones_plassmann.hpp"
 #include "coloring/parallel.hpp"
 #include "coloring/sequential.hpp"
@@ -199,6 +200,36 @@ TEST(DistColoring, SeedChangesConflictResolution) {
   const auto b = color_distributed(g, p, o2);
   EXPECT_TRUE(is_proper_coloring(g, a.coloring));
   EXPECT_TRUE(is_proper_coloring(g, b.coloring));
+}
+
+TEST(DistColoring, DecoderSkipsForeignRecordsOnlyUnderBroadcast) {
+  // Path 0-1-2-3-4-5 in three blocks: rank 0 owns {0,1}, ghost {2}.
+  const DistGraph dist = DistGraph::build(path(6), block_partition(6, 3));
+  const LocalGraph& lg = dist.local(0);
+  ASSERT_EQ(lg.local_id(5), kNoVertex);
+  const auto frame = [](VertexId vertex, Color color) {
+    FrameWriter w;
+    w.append(ColorRecord{vertex, color});
+    BspMessage msg;
+    msg.records = w.records();
+    msg.payload = w.take();
+    return msg;
+  };
+  std::vector<Color> color(static_cast<std::size_t>(lg.num_local()), kNoColor);
+  // A ghost's record applies under every policy.
+  apply_color_records(lg, color, frame(2, 4), SendPolicy::kCustomizedNeighbors);
+  EXPECT_EQ(color[static_cast<std::size_t>(lg.local_id(2))], 4);
+  // FIAB's union payload names vertices the receiver never heard of.
+  const std::vector<Color> before = color;
+  apply_color_records(lg, color, frame(5, 7), SendPolicy::kBroadcastUnion);
+  EXPECT_EQ(color, before);
+  // A customized frame only ever reaches ranks that hold the vertex.
+  EXPECT_THROW(apply_color_records(lg, color, frame(5, 7),
+                                   SendPolicy::kCustomizedNeighbors),
+               Error);
+  EXPECT_THROW(
+      apply_color_records(lg, color, frame(5, 7), SendPolicy::kCustomizedAll),
+      Error);
 }
 
 TEST(DistColoring, RejectsBadOptions) {

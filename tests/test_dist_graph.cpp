@@ -201,6 +201,22 @@ TEST(DistGraph, LocalIdLookupForUnknownVertex) {
   EXPECT_EQ(dist.local(0).local_id(3), kNoVertex);  // 3 not visible on rank 0
 }
 
+TEST(GhostValues, StoresEachGhostOnce) {
+  const Graph g = path(4);
+  const Partition p(2, {0, 0, 1, 1});
+  const DistGraph dist = DistGraph::build(g, p);
+  const LocalGraph& lg = dist.local(0);  // owns {0,1}, ghost {2}
+  GhostValues<Color> values(lg);
+  EXPECT_THROW((void)values.at(lg.local_id(2)), Error);  // not arrived yet
+  values.store(2, 5);
+  EXPECT_EQ(values.at(lg.local_id(2)), 5);
+  // A second receipt means the exchange staged the ghost's record twice.
+  EXPECT_THROW(values.store(2, 5), Error);
+  // Owned and unseen vertices are no ghosts.
+  EXPECT_THROW(values.store(1, 5), Error);
+  EXPECT_THROW(values.store(3, 5), Error);
+}
+
 TEST(LocalIndex, InternGrowsAndFindsEveryId) {
   // Interning grows the table past several doublings; every id keeps its
   // first local id, and absent ids miss.

@@ -70,7 +70,7 @@ TEST(Distance2Distributed, ProperAcrossRankCounts) {
     Rank pr = 0, pc = 0;
     factor_processor_grid(ranks, pr, pc);
     const Partition p = grid_2d_partition(16, 16, pr, pc);
-    const auto result = color_distance2_distributed(g, p);
+    const auto result = color_distance2_distributed_native(g, p);
     std::string why;
     EXPECT_TRUE(is_proper_distance2_coloring(g, result.coloring, &why))
         << "ranks=" << ranks << ": " << why;
@@ -80,7 +80,7 @@ TEST(Distance2Distributed, ProperAcrossRankCounts) {
 TEST(Distance2Distributed, CircuitGraphWithMultilevelPartition) {
   const Graph g = circuit_like(1500, 3200, 6, WeightKind::kUnit, 2);
   const Partition p = multilevel_partition(g, 8, MultilevelConfig::metis_like());
-  const auto result = color_distance2_distributed(g, p);
+  const auto result = color_distance2_distributed_native(g, p);
   std::string why;
   EXPECT_TRUE(is_proper_distance2_coloring(g, result.coloring, &why)) << why;
   // Colors bounded by Delta(G^2) + 1 <= Delta^2 + 1.
@@ -97,7 +97,7 @@ TEST(Distance2Distributed, CommunicationReflectsTwoHopExchange) {
   // same partitioned graph.
   const Graph g = grid_2d(24, 24);
   const Partition p = grid_2d_partition(24, 24, 4, 4);
-  const auto d2 = color_distance2_distributed(g, p);
+  const auto d2 = color_distance2_distributed_native(g, p);
   const auto d1 = color_distributed(g, p, DistColoringOptions::improved());
   EXPECT_GT(d2.run.comm.bytes, d1.run.comm.bytes);
 }
@@ -112,16 +112,28 @@ TEST(Dist2View, TwoHopClosureOnPath) {
   ASSERT_EQ(views.size(), 3u);
   // Rank 0 owns {0,1}; sees 2 (distance 1) and 3 (distance 2), not 4.
   const auto& v0 = views[0];
-  EXPECT_EQ(v0.num_owned, 2);
+  EXPECT_EQ(v0.num_owned(), 2);
+  EXPECT_EQ(v0.num_adjacent(), 3);
   EXPECT_EQ(v0.num_local(), 4);
   EXPECT_NE(v0.local_id(3), kNoVertex);
   EXPECT_EQ(v0.local_id(4), kNoVertex);
   // Vertex 0 is d2-interior? No: vertex 2 (other rank) is at distance 2.
-  EXPECT_EQ(v0.d2_boundary.size(), 2u);
+  // Both owned vertices announce to rank 1 only.
+  EXPECT_EQ(v0.neighbor_ranks(), std::vector<Rank>{1});
+  for (VertexId v = 0; v < v0.num_owned(); ++v) {
+    ASSERT_EQ(v0.boundary_slots(v).size(), 1u);
+    EXPECT_EQ(v0.boundary_slots(v)[0], 0u);
+  }
+  // Rank 1 owns {2,3}: 2 reaches ranks 0 (via 1, 0) and 2 (via 4 at d2).
+  const auto& v1 = views[1];
+  EXPECT_EQ(v1.neighbor_ranks(), (std::vector<Rank>{0, 2}));
+  ASSERT_EQ(v1.boundary_slots(0).size(), 2u);
+  EXPECT_EQ(v1.boundary_slots(0)[0], 0u);
+  EXPECT_EQ(v1.boundary_slots(0)[1], 1u);
   // Rank 2 owns {4}: recipients of 4's color = rank 1 (owns 3 at d1, 2 at d2).
   const auto& v2 = views[2];
-  ASSERT_EQ(v2.recipients[0].size(), 1u);
-  EXPECT_EQ(v2.recipient_ranks[v2.recipients[0][0]], 1);
+  ASSERT_EQ(v2.boundary_slots(0).size(), 1u);
+  EXPECT_EQ(v2.neighbor_ranks()[v2.boundary_slots(0)[0]], 1);
 }
 
 TEST(Dist2Native, ProperAcrossRankCountsAndModes) {
@@ -131,16 +143,44 @@ TEST(Dist2Native, ProperAcrossRankCountsAndModes) {
     factor_processor_grid(ranks, pr, pc);
     const Partition p = grid_2d_partition(14, 14, pr, pc);
     for (SuperstepMode mode : {SuperstepMode::kAsync, SuperstepMode::kSync}) {
-      DistColoringOptions opts = DistColoringOptions::improved();
-      opts.superstep_mode = mode;
-      opts.superstep_size = 16;
-      const auto result = color_distance2_distributed_native(g, p, opts);
-      std::string why;
-      EXPECT_TRUE(is_proper_distance2_coloring(g, result.coloring, &why))
-          << "ranks=" << ranks << ": " << why;
-      EXPECT_EQ(result.conflicts_per_round.back(), 0);
+      for (ColorStrategy strategy :
+           {ColorStrategy::kFirstFit, ColorStrategy::kStaggeredFirstFit,
+            ColorStrategy::kLeastUsed}) {
+        DistColoringOptions opts = DistColoringOptions::improved();
+        opts.superstep_mode = mode;
+        opts.superstep_size = 16;
+        opts.strategy = strategy;
+        const auto result = color_distance2_distributed_native(g, p, opts);
+        std::string why;
+        EXPECT_TRUE(is_proper_distance2_coloring(g, result.coloring, &why))
+            << "ranks=" << ranks << " strategy=" << static_cast<int>(strategy)
+            << ": " << why;
+        EXPECT_EQ(result.conflicts_per_round.back(), 0);
+      }
     }
   }
+}
+
+TEST(Dist2Native, AlwaysSendsNeighborCustomizedInNaturalOrder) {
+  // The entry's contract: the communication mode and the local order of
+  // the options are replaced by NEW and natural order, so a FIAB,
+  // boundary-first request colors exactly like the NEW, natural one.
+  const Graph g = circuit_like(600, 1300, 6, WeightKind::kUnit, 4);
+  const Partition p = block_partition(g.num_vertices(), 5);
+  auto fiab = DistColoringOptions::fiab();
+  fiab.local_order = LocalOrder::kBoundaryFirst;
+  auto improved = DistColoringOptions::improved();
+  improved.local_order = LocalOrder::kNatural;
+  improved.superstep_size = fiab.superstep_size;
+  const auto a = color_distance2_distributed_native(g, p, fiab);
+  const auto b = color_distance2_distributed_native(g, p, improved);
+  EXPECT_EQ(a.coloring.color, b.coloring.color);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.total_supersteps, b.total_supersteps);
+  EXPECT_EQ(a.conflicts_per_round, b.conflicts_per_round);
+  EXPECT_EQ(a.run.comm.messages, b.run.comm.messages);
+  EXPECT_EQ(a.run.comm.bytes, b.run.comm.bytes);
+  EXPECT_EQ(a.run.sim_seconds, b.run.sim_seconds);
 }
 
 TEST(Dist2Native, AgreesWithSquaredGraphFormulation) {

@@ -243,9 +243,8 @@ RunResult run_bsp_scenario(int threads, std::int64_t* dropped_seen) {
       }
       ctx.charge(2.0, WorkPhase::kBoundary);
     });
-    engine.barrier();
-    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
-      for (const BspMessage& msg : ctx.drain()) {
+    engine.exchange([](BspEngine::RankCtx& ctx, std::vector<BspMessage> msgs) {
+      for (const BspMessage& msg : msgs) {
         ctx.charge(static_cast<double>(msg.payload.size()));
       }
     });
@@ -322,9 +321,8 @@ SnapshotProbe run_bsp_snapshot_scenario(int threads) {
       });
     }
     // Round boundary: collect stragglers and re-equalize the clocks.
-    engine.barrier();
-    engine.run_ranks([&](BspEngine::RankCtx& ctx) {
-      for (const BspMessage& msg : ctx.drain()) {
+    engine.exchange([](BspEngine::RankCtx& ctx, std::vector<BspMessage> msgs) {
+      for (const BspMessage& msg : msgs) {
         ctx.charge(static_cast<double>(msg.records), WorkPhase::kBoundary);
       }
     });

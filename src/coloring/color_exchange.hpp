@@ -6,9 +6,11 @@
 // semantics through this header.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "coloring/coloring.hpp"
@@ -69,14 +71,53 @@ using LostColorSets = std::vector<std::vector<VertexId>>;
 /// Sorts one rank's lost ids and drops repeats, for binary-search probes.
 void sort_lost(std::vector<VertexId>& lost);
 
-/// Send callable for color frames from `ctx`: forwards to ctx.send and,
-/// when faults are on, decodes the sender-side copy of every dropped or
-/// corrupted frame into lost[src]. Receipt callbacks fire on the main
-/// thread at the rank-ordered merge that replays each rank's lane, so no
-/// locking is needed.
+/// Send callable for color frames from `ctx`, the rank whose neighbourhood
+/// is `view`: forwards to ctx.send and, when faults are on, decodes the
+/// sender-side copy of every dropped or corrupted frame into lost[src].
+/// A record counts as lost only when the frame's destination is among its
+/// vertex's boundary_slots(): a FIAB union copy to any other rank carries
+/// nothing that rank needs. Receipt callbacks fire on the main thread at
+/// the rank-ordered merge that replays each rank's lane, so no locking is
+/// needed.
+template <class View>
 [[nodiscard]] std::function<void(Rank, std::vector<std::byte>, std::int64_t)>
-lost_tracking_color_sender(LostColorSets& lost, bool faults_on,
-                           BspEngine::RankCtx& ctx);
+lost_tracking_color_sender(const View& view, LostColorSets& lost,
+                           bool faults_on, BspEngine::RankCtx& ctx) {
+  return [&view, &lost, faults_on, &ctx](Rank dst,
+                                         std::vector<std::byte> payload,
+                                         std::int64_t records) {
+    if (!faults_on) {
+      ctx.send(dst, std::move(payload), records);
+      return;
+    }
+    const Rank src = ctx.rank();
+    ctx.send(dst, std::move(payload), records,
+             [&view, &lost, src, dst](const CommFabric::SendReceipt& receipt,
+                                      std::span<const std::byte> bytes) {
+               if (!receipt.dropped && !receipt.corrupted) return;
+               const std::vector<Rank>& ranks = view.neighbor_ranks();
+               const auto it =
+                   std::lower_bound(ranks.begin(), ranks.end(), dst);
+               if (it == ranks.end() || *it != dst) return;
+               const auto slot = static_cast<Slot>(it - ranks.begin());
+               // The receiver never sees these colors (lost outright, or
+               // rejected by its checksum), so conflict detection there
+               // cannot be symmetric; the sender re-enters the vertices
+               // instead. The callback always gets the original bytes, so
+               // decoding the kept copy is safe even for corrupted sends.
+               for_each_record<ColorRecord>(
+                   bytes, [&](const ColorRecord& rec) {
+                     const auto slots =
+                         view.boundary_slots(view.local_id(rec.vertex));
+                     if (std::binary_search(slots.begin(), slots.end(),
+                                            slot)) {
+                       lost[static_cast<std::size_t>(src)].push_back(
+                           rec.vertex);
+                     }
+                   });
+             });
+  };
+}
 
 /// The deterministic total priority order shared by Jones–Plassmann and the
 /// speculative framework's conflict resolution: a beats b iff its

@@ -269,7 +269,7 @@ DistColoringResult color_speculative(std::span<const View> views,
         }
         // Send this superstep's boundary colors under the configured policy.
         st.stage.flush(options.comm_mode, r,
-                       lost_tracking_color_sender(lost, faults_on, ctx));
+                       lost_tracking_color_sender(view, lost, faults_on, ctx));
       };
       if (sync_mode) {
         engine.run_ranks(superstep);

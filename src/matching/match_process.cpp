@@ -10,9 +10,8 @@ namespace pmc {
 MatchProcess::MatchProcess(const LocalGraph& lg,
                            const DistMatchingOptions& options)
     : lg_(lg),
-      bundler_(lg.neighbor_ranks(),
-               options.bundled ? BundleMode::kBundled : BundleMode::kEager,
-               options.bundle_flush_bytes, options.codec) {}
+      writers_(lg.neighbor_ranks(), options.codec),
+      bundled_(options.bundled) {}
 
 void MatchProcess::sort_arcs(EventContext& ctx, VertexId v) {
   const EdgeId b = lg_.offset_begin(v);
@@ -308,16 +307,20 @@ EdgeId MatchProcess::find_arc(VertexId v, VertexId t) const {
 }
 
 // ---- outgoing records ---------------------------------------------------
-// Aggregation is the runtime Bundler's job: bundled mode stages records
-// per destination until flush() (one message per neighbor rank per
-// activation, the paper's §3.3 bundling); eager mode sends each record on
-// its own (the unbundled ablation).
+// Bundled mode stages records per neighbour slot until flush() (one message
+// per neighbour rank per activation, the paper's §3.3 bundling); eager mode
+// sends each record on its own (the unbundled ablation).
 
 void MatchProcess::enqueue_record(EventContext& ctx, Slot slot,
                                   const Record& rec) {
-  bundler_.add(slot, rec, sender(ctx));
+  writers_.append(slot, rec);
+  if (!bundled_) writers_.send_now(slot, sender(ctx));
 }
 
-void MatchProcess::flush(EventContext& ctx) { bundler_.flush(sender(ctx)); }
+// Ascending rank order: the send sequence feeds FIFO channels, jitter and
+// fault verdicts downstream, so it must not follow first-touch order.
+void MatchProcess::flush(EventContext& ctx) {
+  writers_.flush_ascending(sender(ctx));
+}
 
 }  // namespace pmc

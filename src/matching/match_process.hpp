@@ -124,7 +124,8 @@ class MatchProcess : public Process {
   void sort_arcs(EventContext& ctx, VertexId v);
 
   const LocalGraph& lg_;
-  Bundler bundler_;
+  SlotWriters writers_;
+  bool bundled_;
   std::vector<VState> state_;
   std::vector<VertexId> mate_;  // local ids
   std::vector<VertexId> cand_;  // local ids

@@ -39,13 +39,9 @@ namespace pmc {
 /// Options for a distributed matching run.
 struct DistMatchingOptions {
   /// Aggregate records into one message per destination per activation
-  /// (the runtime Bundler's bundled mode); false selects the eager mode
-  /// where every record travels as its own message (the ablation baseline).
+  /// (the paper's §3.3 bundling); false selects the eager mode where every
+  /// record travels as its own message (the ablation baseline).
   bool bundled = true;
-  /// In bundled mode, auto-flush a destination's bundle once its staged
-  /// payload reaches this many bytes. 0 = flush only at activation
-  /// boundaries (the paper's behaviour).
-  std::size_t bundle_flush_bytes = 0;
   /// Wire codec for the REQUEST/SUCCEEDED/FAILED frames (kFixed is the
   /// legacy fixed-width ablation baseline).
   WireCodec codec = WireCodec::kCompact;

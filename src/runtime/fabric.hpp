@@ -10,15 +10,11 @@
 // The fabric also owns the per-neighbour staging the paper's algorithms
 // share. Its core, SlotWriters, keeps one writer per neighbour slot (an
 // index into a LocalGraph's neighbor_ranks()) and flushes the touched ones
-// in ascending or first-touch order; two helpers build on it:
-//
-//   * Bundler — per-destination record aggregation (the matching paper's
-//     §3.3 "aggressive message bundling") with eager, bundled, and
-//     flush-on-threshold modes. Eager mode is the unbundled ablation
-//     baseline: every record travels as its own message.
-//   * FanoutStage — per-source staging of boundary records, flushed under
-//     one of the coloring paper's §4.2 send policies: kBroadcastUnion
-//     (FIAB), kCustomizedAll (FIAC), or kCustomizedNeighbors (NEW).
+// in ascending or first-touch order. The matching's §3.3 message bundling,
+// the verifiers and Jones–Plassmann use it directly; FanoutStage builds on
+// it to stage boundary records under one of the coloring paper's §4.2 send
+// policies: kBroadcastUnion (FIAB), kCustomizedAll (FIAC), or
+// kCustomizedNeighbors (NEW).
 //
 // All modelled-time semantics (send overhead, latency + inverse-bandwidth
 // cost, FIFO channels, deterministic jitter) are bit-identical to the
@@ -334,7 +330,7 @@ template <typename Ctx>
 }
 
 /// One FrameWriter per destination slot: the per-neighbour staging core of
-/// Bundler and FanoutStage, which the verifiers and Jones–Plassmann also
+/// FanoutStage, which the matching, the verifiers and Jones–Plassmann also
 /// use directly. A slot indexes a sorted, unique rank list — in practice a
 /// LocalGraph's neighbor_ranks() — so callers stage by the slots LocalGraph
 /// holds (ghost_slot(), boundary_slots()), and ascending slots are
@@ -353,7 +349,7 @@ class SlotWriters {
 
   /// Appends one record to `slot`'s writer; the slot must be in range.
   template <typename R>
-  const FrameWriter& append(std::size_t slot, const R& record) {
+  void append(std::size_t slot, const R& record) {
     PMC_CHECK(slot < out_.size(), "slot " << slot
                                           << " is outside a destination set of "
                                           << out_.size() << " ranks");
@@ -362,12 +358,11 @@ class SlotWriters {
     // repeat here; the flushes send each writer once, while non-empty.
     if (w.empty()) touched_.push_back(slot);
     w.append(record);
-    return w;
   }
 
   /// Sends `slot`'s staged records now.
   template <typename SendFn>
-  void send_now(std::size_t slot, SendFn& send) {
+  void send_now(std::size_t slot, SendFn&& send) {
     FrameWriter& w = out_[slot];
     const std::int64_t records = w.records();
     send(dests_[slot], w.take(), records);
@@ -401,65 +396,6 @@ class SlotWriters {
   std::vector<Rank> dests_;
   std::vector<FrameWriter> out_;      // parallel to dests_
   std::vector<std::size_t> touched_;  // slots, since the last flush
-};
-
-/// How a Bundler treats appended records.
-enum class BundleMode {
-  kEager,    ///< Each record is sent immediately as its own message.
-  kBundled,  ///< Records are staged per destination until flush().
-};
-
-/// Per-destination record aggregation — the paper's §3.3 message bundling,
-/// promoted from the matching algorithm into the runtime so every algorithm
-/// (and the unbundled ablation) shares one implementation.
-///
-/// Records (any type with a fields() list, see serialize.hpp) are appended
-/// to their destination slot's writer (SlotWriters over the rank's
-/// neighbour ranks). With a non-zero flush threshold, a destination's bundle
-/// is sent as soon as its staged *payload* (pre-frame encoded bytes)
-/// reaches the threshold (bounding message size without changing record
-/// order).
-class Bundler {
- public:
-  /// `dests` — the rank of every slot add() may address — must be sorted
-  /// and unique.
-  Bundler(std::vector<Rank> dests, BundleMode mode,
-          std::size_t flush_threshold_bytes = 0,
-          WireCodec codec = WireCodec::kCompact)
-      : out_(std::move(dests), codec),
-        mode_(mode),
-        flush_threshold_bytes_(flush_threshold_bytes) {}
-
-  /// Appends one record for destination `slot`, which must be in range.
-  /// SendFn is void(Rank, std::vector<std::byte>, std::int64_t records).
-  template <typename R, typename SendFn>
-  void add(std::size_t slot, const R& record, SendFn&& send) {
-    const FrameWriter& w = out_.append(slot, record);
-    if (mode_ == BundleMode::kEager ||
-        (flush_threshold_bytes_ != 0 &&
-         w.payload_size() >= flush_threshold_bytes_)) {
-      out_.send_now(slot, send);
-    }
-  }
-
-  /// Sends every non-empty staged bundle in ascending destination order
-  /// (nothing is staged in eager mode): the send sequence feeds FIFO
-  /// channels, jitter and fault verdicts downstream, so it must not follow
-  /// the order the destinations were first touched in.
-  template <typename SendFn>
-  void flush(SendFn&& send) {
-    out_.flush_ascending(send);
-  }
-
-  /// Records currently staged across all destinations.
-  [[nodiscard]] std::int64_t staged_records() const noexcept {
-    return out_.staged_records();
-  }
-
- private:
-  SlotWriters out_;
-  BundleMode mode_;
-  std::size_t flush_threshold_bytes_;
 };
 
 /// The coloring's boundary announcement (§4.2): vertex `vertex` now has

@@ -164,9 +164,6 @@ class FrameWriter {
 
   [[nodiscard]] std::int64_t records() const noexcept { return records_; }
   [[nodiscard]] bool empty() const noexcept { return records_ == 0; }
-  [[nodiscard]] std::size_t payload_size() const noexcept {
-    return payload_.size();
-  }
 
   /// Seals the staged records into one frame and resets the writer (record
   /// count, payload, delta chain). No records staged -> empty vector.

@@ -171,7 +171,7 @@ IncrementalColorResult run_canonical(const DistGraph& dist,
           }
         }
         st.stage.flush(options.comm_mode, r,
-                       lost_tracking_color_sender(lost, faults_on, ctx));
+                       lost_tracking_color_sender(lg, lost, faults_on, ctx));
       });
       ++result.total_supersteps;
       engine.exchange(apply_exchange);

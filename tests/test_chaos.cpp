@@ -336,6 +336,27 @@ TEST_F(ColoringChaos, CorruptedAnnouncementsEnterRepair) {
   EXPECT_EQ(r.run.breakdown.total_faults().retries, 0);
 }
 
+TEST(ColoringChaosAtScale, FiabConvergesUnderDropsAt64Ranks) {
+  // FIAB sends each superstep's union payload to every rank, but only a
+  // copy to a rank holding a ghost of a vertex carries anything that rank
+  // needs. Re-entering a vertex for any dropped copy re-entered nearly
+  // every boundary vertex in every round at 64 ranks, and the run failed
+  // to converge in max_rounds.
+  const Graph g = circuit_like(4000, 8000, 6);
+  const Partition p = multilevel_partition(g, 64);
+  const DistGraph dist = DistGraph::build(g, p);
+  auto opt = with_env_exec(DistColoringOptions::fiab());
+  opt.superstep_size = 64;
+  opt.faults.drop_rate = 0.1;
+  opt.faults.seed = 29;
+  const auto r = color_distributed(dist, opt);
+  EXPECT_LT(r.rounds, opt.max_rounds);
+  EXPECT_GT(r.fault_reentries, 0);
+  std::string why;
+  EXPECT_TRUE(is_proper_coloring(g, r.coloring, &why)) << why;
+  EXPECT_EQ(verify_coloring_distributed(dist, r.coloring).violations, 0);
+}
+
 TEST_F(ColoringChaos, CorruptionSweepStaysConflictFreeAcrossAllModes) {
   const std::vector<DistColoringOptions> presets = {
       DistColoringOptions::improved(), DistColoringOptions::fiab(),

@@ -1,6 +1,6 @@
 // Tests for the shared communication fabric (runtime/fabric.hpp): clocks and
 // cost charging, the per-channel FIFO non-overtaking invariant (with and
-// without jitter), the Bundler and FanoutStage aggregation helpers, and the
+// without jitter), the SlotWriters and FanoutStage staging helpers, and the
 // per-rank / per-round instrumentation breakdowns.
 #include <gtest/gtest.h>
 
@@ -384,10 +384,10 @@ TEST(FaultInjection, RecoveryHooksChargeTheBreakdown) {
   EXPECT_EQ(b.per_round_faults[0].retries, 1);
 }
 
-// ---- Bundler ----------------------------------------------------------------
+// ---- SlotWriters ------------------------------------------------------------
 
-/// Collects every (dst, payload, records) triple a Bundler emits and decodes
-/// the record ids back out for loss/duplication checks.
+/// Collects every (dst, payload, records) triple a SlotWriters flush emits
+/// and decodes the record ids back out for loss/duplication checks.
 struct SendLog {
   struct Sent {
     Rank dst;
@@ -430,23 +430,25 @@ std::size_t slot_of(const std::vector<Rank>& dests, Rank dst) {
       std::lower_bound(dests.begin(), dests.end(), dst) - dests.begin());
 }
 
-std::vector<int> bundler_round_trip(BundleMode mode, std::size_t threshold,
-                                    int num_records, SendLog& log,
-                                    WireCodec codec = WireCodec::kCompact) {
-  Bundler bundler({0, 1, 2}, mode, threshold, codec);
+/// Stages ids 0..num_records-1 round-robin over slots {0, 1, 2} and flushes
+/// in ascending order; `eager` sends each record on its own as it is staged
+/// (the matching's unbundled mode).
+std::vector<int> round_trip(bool eager, int num_records, SendLog& log) {
+  SlotWriters out({0, 1, 2}, WireCodec::kCompact);
   std::vector<int> staged;
   for (int i = 0; i < num_records; ++i) {
     const auto slot = static_cast<std::size_t>(i % 3);
-    bundler.add(slot, test::IdRecord{i}, log.sink());
+    out.append(slot, test::IdRecord{i});
+    if (eager) out.send_now(slot, log.sink());
     staged.push_back(i);
   }
-  bundler.flush(log.sink());
+  out.flush_ascending(log.sink());
   return staged;
 }
 
-TEST(Bundler, EagerSendsEachRecordAsItsOwnMessage) {
+TEST(SlotWriters, SendNowSendsEachRecordAsItsOwnMessage) {
   SendLog log;
-  const auto staged = bundler_round_trip(BundleMode::kEager, 0, 10, log);
+  const auto staged = round_trip(true, 10, log);
   EXPECT_EQ(log.sent.size(), 10u);
   for (const auto& s : log.sent) EXPECT_EQ(s.records, 1);
   auto ids = log.decode_ids();
@@ -454,9 +456,9 @@ TEST(Bundler, EagerSendsEachRecordAsItsOwnMessage) {
   EXPECT_EQ(ids, staged);
 }
 
-TEST(Bundler, BundledFlushLosesAndDuplicatesNothing) {
+TEST(SlotWriters, FlushLosesAndDuplicatesNothing) {
   SendLog log;
-  const auto staged = bundler_round_trip(BundleMode::kBundled, 0, 30, log);
+  const auto staged = round_trip(false, 30, log);
   // One message per destination that has records (3 destinations here).
   EXPECT_EQ(log.sent.size(), 3u);
   auto ids = log.decode_ids();
@@ -464,7 +466,7 @@ TEST(Bundler, BundledFlushLosesAndDuplicatesNothing) {
   EXPECT_EQ(ids, staged);
 }
 
-TEST(Bundler, FlushEmitsBundlesInAscendingDestinationOrder) {
+TEST(SlotWriters, FlushAscendingEmitsInDestinationOrder) {
   // Determinism pin: flush order must be the sorted destination order,
   // never the order destinations were first touched in — the send
   // sequence feeds FIFO channels, jitter and fault verdicts.
@@ -473,93 +475,59 @@ TEST(Bundler, FlushEmitsBundlesInAscendingDestinationOrder) {
                        67, 5, 97, 23, 31, 2,  89, 13, 71, 47};
   std::vector<Rank> neighbours(std::begin(dsts), std::end(dsts));
   std::sort(neighbours.begin(), neighbours.end());
-  Bundler bundler(neighbours, BundleMode::kBundled);
+  SlotWriters out(neighbours, WireCodec::kCompact);
   for (const Rank dst : dsts) {
-    bundler.add(slot_of(neighbours, dst), test::IdRecord{dst}, log.sink());
+    out.append(slot_of(neighbours, dst), test::IdRecord{dst});
   }
-  bundler.flush(log.sink());
+  out.flush_ascending(log.sink());
   ASSERT_EQ(log.sent.size(), std::size(dsts));
   for (std::size_t i = 1; i < log.sent.size(); ++i) {
     EXPECT_LT(log.sent[i - 1].dst, log.sent[i].dst);
   }
 }
 
-TEST(Bundler, SecondFlushSendsNothing) {
+TEST(SlotWriters, SecondFlushSendsNothing) {
   SendLog log;
-  Bundler bundler({1}, BundleMode::kBundled);
-  bundler.add(0, test::IdRecord{7}, log.sink());
-  bundler.flush(log.sink());
+  SlotWriters out({1}, WireCodec::kCompact);
+  out.append(0, test::IdRecord{7});
+  out.flush_ascending(log.sink());
   const std::size_t after_first = log.sent.size();
-  bundler.flush(log.sink());
+  out.flush_ascending(log.sink());
   EXPECT_EQ(log.sent.size(), after_first);
-  EXPECT_EQ(bundler.staged_records(), 0);
+  EXPECT_EQ(out.staged_records(), 0);
 }
 
-TEST(Bundler, FlushAfterTouchingOneOfManyNeighboursSendsOneMessage) {
+TEST(SlotWriters, FlushAfterTouchingOneOfManyNeighboursSendsOneMessage) {
   std::vector<Rank> neighbours;
   for (Rank r = 1; r <= 200; r += 2) neighbours.push_back(r);
-  Bundler bundler(neighbours, BundleMode::kBundled);
+  SlotWriters out(neighbours, WireCodec::kCompact);
   SendLog log;
-  bundler.add(slot_of(neighbours, 77), test::IdRecord{5}, log.sink());
-  bundler.add(slot_of(neighbours, 77), test::IdRecord{6}, log.sink());
-  EXPECT_EQ(bundler.staged_records(), 2);
-  bundler.flush(log.sink());
+  out.append(slot_of(neighbours, 77), test::IdRecord{5});
+  out.append(slot_of(neighbours, 77), test::IdRecord{6});
+  EXPECT_EQ(out.staged_records(), 2);
+  out.flush_ascending(log.sink());
   ASSERT_EQ(log.sent.size(), 1u);
   EXPECT_EQ(log.sent[0].dst, 77);
   EXPECT_EQ(log.sent[0].records, 2);
   EXPECT_EQ(log.decode_ids(), (std::vector<int>{5, 6}));
 }
 
-TEST(Bundler, ThresholdSendThenRefillFlushesTheRemainderOnce) {
-  // A threshold send empties a writer that stays on the touched list; the
-  // records staged after it must leave in exactly one flush message.
+TEST(SlotWriters, RejectsASlotOutsideItsDestinationSet) {
   SendLog log;
-  Bundler bundler({1, 2}, BundleMode::kBundled, 16, WireCodec::kFixed);
-  for (int i = 0; i < 3; ++i) bundler.add(1, test::IdRecord{i}, log.sink());
-  ASSERT_EQ(log.sent.size(), 1u);  // ids 0 and 1 reached the threshold
-  EXPECT_EQ(bundler.staged_records(), 1);
-  bundler.flush(log.sink());
-  ASSERT_EQ(log.sent.size(), 2u);
-  EXPECT_EQ(log.sent[1].dst, 2);
-  EXPECT_EQ(log.sent[1].records, 1);
-  EXPECT_EQ(log.decode_ids(), (std::vector<int>{0, 1, 2}));
-}
-
-TEST(Bundler, RejectsASlotOutsideItsDestinationSet) {
-  SendLog log;
-  for (const BundleMode mode : {BundleMode::kBundled, BundleMode::kEager}) {
-    Bundler bundler({2, 5, 9}, mode);
-    EXPECT_THROW(bundler.add(3, test::IdRecord{1}, log.sink()), Error);
-    EXPECT_THROW(bundler.add(10, test::IdRecord{1}, log.sink()), Error);
-    EXPECT_THROW(bundler.add(kNoSlot, test::IdRecord{1}, log.sink()), Error);
-  }
+  SlotWriters out({2, 5, 9}, WireCodec::kCompact);
+  EXPECT_THROW(out.append(3, test::IdRecord{1}), Error);
+  EXPECT_THROW(out.append(10, test::IdRecord{1}), Error);
+  EXPECT_THROW(out.append(kNoSlot, test::IdRecord{1}), Error);
+  out.flush_ascending(log.sink());
   EXPECT_TRUE(log.sent.empty());
-  EXPECT_THROW(Bundler({5, 2}, BundleMode::kBundled), Error);
-  EXPECT_THROW(Bundler({2, 2}, BundleMode::kBundled), Error);
+  EXPECT_THROW(SlotWriters({5, 2}, WireCodec::kCompact), Error);
+  EXPECT_THROW(SlotWriters({2, 2}, WireCodec::kCompact), Error);
 }
-
-TEST(Bundler, ThresholdFlushBoundsStagedBytesWithoutLoss) {
-  SendLog log;
-  // With the fixed codec each record's payload is sizeof(VertexId) = 8
-  // bytes, so threshold 16 flushes every 2nd record per destination.
-  const auto staged = bundler_round_trip(BundleMode::kBundled, 16, 30, log,
-                                         WireCodec::kFixed);
-  for (const auto& s : log.sent) {
-    EXPECT_LE(s.records, 2);
-    EXPECT_GE(s.records, 1);
-  }
-  EXPECT_GT(log.sent.size(), 3u);  // more messages than plain bundling
-  auto ids = log.decode_ids();
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, staged);
-}
-
-// ---- SlotWriters ------------------------------------------------------------
 
 TEST(SlotWriters, FlushesTouchedSlotsInAscendingOrFirstTouchOrder) {
-  // The core Bundler and FanoutStage share: the same staging, flushed in
+  // The core FanoutStage builds on: the same staging, flushed in
   // first-touch order (FanoutStage's NEW policy), then in ascending slot =
-  // rank order (Bundler, the verifiers, Jones–Plassmann).
+  // rank order (the matching, the verifiers, Jones–Plassmann).
   SlotWriters out({2, 5, 9}, WireCodec::kCompact);
   const auto stage = [&] {
     out.append(2, test::IdRecord{0});
@@ -759,22 +727,6 @@ TEST(FabricDeterminism, EventEngineRunsAreBitIdenticalAndConsistent) {
   EXPECT_EQ(a.run.comm.bytes, b.run.comm.bytes);
   EXPECT_EQ(a.run.comm.records, b.run.comm.records);
   expect_breakdown_consistent(a.run);
-}
-
-TEST(FabricDeterminism, BundleFlushThresholdNeverChangesTheMatching) {
-  const Graph g = grid_2d(24, 24, WeightKind::kUniformRandom, 5);
-  const Partition p = grid_2d_partition(24, 24, 2, 2);
-  const DistGraph dist = DistGraph::build(g, p);
-  DistMatchingOptions plain;
-  const auto base = match_distributed(dist, plain);
-  DistMatchingOptions capped;
-  capped.bundle_flush_bytes = 64;  // force mid-activation flushes
-  const auto res = match_distributed(dist, capped);
-  EXPECT_EQ(res.matching.mate, base.matching.mate);
-  // Smaller bundles mean at least as many messages for the same records.
-  EXPECT_GE(res.run.comm.messages, base.run.comm.messages);
-  EXPECT_EQ(res.run.comm.records, base.run.comm.records);
-  expect_breakdown_consistent(res.run);
 }
 
 TEST(FabricDeterminism, BspEngineRunsAreBitIdenticalAndConsistent) {

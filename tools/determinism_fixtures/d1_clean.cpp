@@ -1,6 +1,6 @@
 // Fixture: D1 must stay silent on graph code, which may still hash: the
-// test lints this file as src/graph/d1_clean.cpp. Scan fodder for the lint
-// fixture suite, not compiled.
+// check scans this file as src/graph/d1.cpp (and as src/service/d1.cpp,
+// where the include is a hit). Scan fodder for the rule check, not compiled.
 #include <cstdint>
 #include <unordered_set>
 #include <vector>

@@ -1,6 +1,6 @@
 // Fixture: D2 must stay silent — seeded pmc::Rng, a member function that
-// happens to be called time(), a declaration of one, and steady_clock are
-// all fine.
+// happens to be called time(), a declaration of one, steady_clock and a raw
+// string naming rand() are all fine.
 #include <chrono>
 #include <cstdint>
 
@@ -19,3 +19,6 @@ std::int64_t wall_nanos() {
              now.time_since_epoch())
       .count();
 }
+
+// A raw string may hold quotes around a banned name; it is still a literal.
+const char* kNotes = R"doc(never " rand() " in src/)doc";

@@ -1,5 +1,5 @@
-// Fixture: D2 must fire on every hidden-entropy source: rand/srand, libc
-// time(), std::random_device and std::chrono::system_clock.
+// Fixture: D2 must fire on every hidden-entropy source: rand/srand (also as
+// ::rand()), libc time(), std::random_device and std::chrono::system_clock.
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
@@ -14,3 +14,5 @@ unsigned hidden_entropy() {
   (void)now;
   return static_cast<unsigned>(r) + static_cast<unsigned>(t) + rd();
 }
+
+int global_entropy() { return ::rand(); }
